@@ -18,8 +18,7 @@ from .segmentation import Segment, make_segments, extract_window, reassemble
 from .metrics import mse, ccc, ccc_loss, evaluate_sessions, EvalReport
 from .training import TrainConfig, Adam, EmaState, train, evaluate_with_ema
 from .data import (SessionRecord, SynthConfig, synth_session, synth_corpus,
-                   load_session, save_session, write_matrix, read_matrix,
-                   partner_aggregate)
+                   load_session, save_session, write_matrix, read_matrix)
 
 __version__ = "0.1.0"
 
@@ -32,5 +31,4 @@ __all__ = [
     "TrainConfig", "Adam", "EmaState", "train", "evaluate_with_ema",
     "SessionRecord", "SynthConfig", "synth_session", "synth_corpus",
     "load_session", "save_session", "write_matrix", "read_matrix",
-    "partner_aggregate",
 ]

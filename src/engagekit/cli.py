@@ -19,10 +19,9 @@ import numpy as np
 from . import tensor as T
 from .data import (DataFormatError, SynthConfig, load_sessions, synth_corpus)
 from .metrics import LabelEchoPredictor, ccc_loss, evaluate_sessions, mse, predict_session
-from .model import (BaselineModel, EngagementModel, GroupFusion, ModelConfig,
-                    PartnerCrossLayer, STREAMS, load_checkpoint, param_count)
+from .model import (MODELS, BaselineModel, EngagementModel, GroupFusion, ModelConfig,
+                    PartnerCrossLayer, STREAMS, load_checkpoint)
 from .nn import Linear, TransformerEncoderLayer
-from .segmentation import build_window_batch, make_segments
 from .tensor import GradCheckError, NonFiniteError, Tensor, grad_check
 from .training import DivergenceError, TrainConfig, train
 
@@ -340,8 +339,7 @@ def run_ablate(model_cfg: ModelConfig, train_cfg: TrainConfig, train_sessions,
             cfg_kwargs.update(spec)
             arm_cfg = ModelConfig(**cfg_kwargs)
             arm_train = dataclasses.replace(train_cfg, seed=seed)
-            cls = BaselineModel if arch == "baseline" else EngagementModel
-            model = cls(arm_cfg, seed=seed)
+            model = MODELS[arch](arm_cfg, seed=seed)
             result = train(model, train_sessions, val_sessions, arm_train, quiet=True)
             row = {"arm": arm, "params": model.num_parameters(),
                    "val_ccc": result.best_val_ccc, "seed": seed}

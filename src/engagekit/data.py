@@ -322,18 +322,3 @@ def synth_corpus(cfg: SynthConfig, out_dir, start_index: int = 0) -> list[Path]:
         json.dump({**asdict(cfg), "start_index": start_index}, f, indent=2, sort_keys=True)
     return paths
 
-
-def partner_aggregate(partners: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Frame-wise mean across several partners' stream sets (multi-party
-    adaptation); identity for a single partner."""
-    if not partners:
-        raise ValueError("need at least one partner")
-    if len(partners) == 1:
-        return partners[0]
-    first = partners[0]
-    for other in partners[1:]:
-        for name in first:
-            if other[name].shape != first[name].shape:
-                raise ValueError(f"partner stream '{name}' shapes disagree: "
-                                 f"{other[name].shape} vs {first[name].shape}")
-    return {name: np.mean([p[name] for p in partners], axis=0) for name in first}

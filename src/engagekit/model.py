@@ -9,19 +9,24 @@ with a final LayerNorm before its MLP emits one engagement value per frame.
 Flags turn the group-fusion encoders and the partner cross-attention off
 independently, which gives the ablation arms; a solo baseline variant
 (per-stream encoders + one wide fusion layer) is provided as its own class.
+
+Both architectures share one base: its ``forward`` checks the target bundle,
+runs the architecture's own feature path to the fused 5d features, applies
+the prediction head and clamps to [0, 1] in eval mode. ``MODELS`` maps a
+checkpoint's arch name to its class.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .nn import (Linear, LayerNorm, MultiHeadAttention, FeedForward,
+from .nn import (Linear, LayerNorm, MultiHeadAttention, FeedForward, Module,
                  TransformerEncoderLayer, PositionalEncoding, dropout, prefixed)
 from .tensor import Tensor
 
@@ -136,7 +141,7 @@ def _check_bundle(bundle: dict[str, Tensor], cfg: ModelConfig, who: str) -> int:
     return length
 
 
-class StreamEncoders:
+class StreamEncoders(Module):
     """Per-stream linear projection to d, optional positional add, then a
     stack of standard encoder layers per stream."""
 
@@ -171,7 +176,7 @@ class StreamEncoders:
         return params
 
 
-class GroupFusion:
+class GroupFusion(Module):
     """Stream encoders plus concat into audio [.., L, 2d] / video [.., L, 3d]
     groups; with group fusion enabled each group passes through its own
     encoder stack, otherwise the raw concatenations flow through."""
@@ -209,7 +214,7 @@ class GroupFusion:
         return params
 
 
-class PartnerCrossLayer:
+class PartnerCrossLayer(Module):
     """Cross-attention encoder layer with the partner as query.
 
     Only the target stream is normalized and refined:
@@ -219,7 +224,8 @@ class PartnerCrossLayer:
         out = mid + FFN(Norm(mid))
 
     The query is deliberately left un-normalized and the first residual adds
-    the raw target, so the layer is not a vanilla pre-norm block.
+    the raw target, so the layer is not a vanilla pre-norm block. It holds
+    the same parameters as a ``TransformerEncoderLayer`` of its width.
     """
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
@@ -239,20 +245,8 @@ class PartnerCrossLayer:
         mid = T.add(self.attn(partner, kv, train, rng), target)
         return T.add(mid, self.ffn(self.norm_ffn(mid), train, rng))
 
-    def named_parameters(self):
-        return (prefixed("norm_kv", self.norm_kv.named_parameters())
-                + prefixed("attn", self.attn.named_parameters())
-                + prefixed("norm_ffn", self.norm_ffn.named_parameters())
-                + prefixed("ffn", self.ffn.named_parameters()))
 
-    @staticmethod
-    def param_count(dim: int, ffn_mult: int = 4) -> int:
-        return (2 * LayerNorm.param_count(dim)
-                + MultiHeadAttention.param_count(dim)
-                + FeedForward.param_count(dim, ffn_mult))
-
-
-class PredictionHead:
+class PredictionHead(Module):
     """Final LayerNorm, then a two-layer MLP emitting one value per frame:
     5d -> hidden -> 1.
 
@@ -273,21 +267,44 @@ class PredictionHead:
         h = dropout(T.gelu(self.lin1(self.norm(x))), self.dropout_rate, train, rng)
         return self.lin2(h)
 
-    def named_parameters(self):
-        return (prefixed("norm", self.norm.named_parameters())
-                + prefixed("lin1", self.lin1.named_parameters())
-                + prefixed("lin2", self.lin2.named_parameters()))
+
+class _Architecture(Module):
+    """The parts both architectures share. A subclass sets ``cfg`` and
+    ``head`` in ``__init__`` and defines ``_features(target, length, partner,
+    train, rng)``, its path from the checked target bundle (of ``length``
+    frames) to the fused ``[.., L, 5d]`` features the head reads."""
+
+    @property
+    def core_len(self) -> int:
+        return self.cfg.core_len
+
+    @property
+    def context_len(self) -> int:
+        return self.cfg.context_len
+
+    def forward(self, target: dict, partner: dict | None = None,
+                train: bool = False, rng=None) -> Tensor:
+        """Bundles of ``[L, dim]`` or ``[B, L, dim]`` arrays in, ``[.., L, 1]``
+        out. In eval mode (train=False) the output is clamped to the label
+        range [0, 1]; in train mode it is left free so gradients survive
+        saturation."""
+        target = as_bundle(target, self.cfg.np_dtype)
+        length = _check_bundle(target, self.cfg, "target")
+        y = self.head(self._features(target, length, partner, train, rng), train, rng)
+        if not train:
+            y = T.constant(np.clip(y.data, 0.0, 1.0))
+        return y
+
+    def predict_windows(self, batch) -> np.ndarray:
+        """Eval-mode forward over a WindowBatch; returns clamped [B, L]."""
+        with T.no_grad():
+            y = self.forward(batch.target, batch.partner, train=False)
+        return y.data[..., 0]
 
 
-class EngagementModel:
+class EngagementModel(_Architecture):
     """Full dyadic model: group fusion per speaker, partner-query cross
-    attention per group, concat, MLP head.
-
-    forward() accepts bundles of ``[L, dim]`` or ``[B, L, dim]`` arrays and
-    returns ``[.., L, 1]``; in eval mode (train=False) the output is clamped
-    to the label range [0, 1], in train mode it is left free so gradients
-    survive saturation.
-    """
+    attention per group, concat, MLP head."""
 
     arch = "dialogue"
 
@@ -312,19 +329,8 @@ class EngagementModel:
                     cfg.video_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult, dt))
         self.head = PredictionHead(cfg, rng)
 
-    @property
-    def core_len(self) -> int:
-        return self.cfg.core_len
-
-    @property
-    def context_len(self) -> int:
-        return self.cfg.context_len
-
-    def forward(self, target: dict, partner: dict | None = None,
-                train: bool = False, rng=None) -> Tensor:
+    def _features(self, target, length, partner, train, rng) -> Tensor:
         cfg = self.cfg
-        target = as_bundle(target, cfg.np_dtype)
-        len_t = _check_bundle(target, cfg, "target")
         audio, video = self.target_fusion(target, train, rng)
         if cfg.use_partner_cross:
             if partner is None:
@@ -332,24 +338,14 @@ class EngagementModel:
                                  "a partner bundle is required")
             partner = as_bundle(partner, cfg.np_dtype)
             len_p = _check_bundle(partner, cfg, "partner")
-            if len_p != len_t:
-                raise T.ShapeError(f"target length {len_t} != partner length {len_p}")
+            if len_p != length:
+                raise T.ShapeError(f"target length {length} != partner length {len_p}")
             p_audio, p_video = self.partner_fusion(partner, train, rng)
             for layer in self.audio_cross:
                 audio = layer(audio, p_audio, train, rng)
             for layer in self.video_cross:
                 video = layer(video, p_video, train, rng)
-        fused = T.concat([audio, video], axis=-1)
-        y = self.head(fused, train, rng)
-        if not train:
-            y = T.constant(np.clip(y.data, 0.0, 1.0))
-        return y
-
-    def predict_windows(self, batch) -> np.ndarray:
-        """Eval-mode forward over a WindowBatch; returns clamped [B, L]."""
-        with T.no_grad():
-            y = self.forward(batch.target, batch.partner, train=False)
-        return y.data[..., 0]
+        return T.concat([audio, video], axis=-1)
 
     def named_parameters(self):
         params = prefixed("target", self.target_fusion.named_parameters())
@@ -362,15 +358,8 @@ class EngagementModel:
         params += prefixed("head", self.head.named_parameters())
         return params
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for _, p in self.named_parameters())
-
-
-class BaselineModel:
+class BaselineModel(_Architecture):
     """Solo baseline: per-stream encoders, concat all five streams to 5d,
     one wide fusion encoder stack, MLP head. No partner input, no grouping."""
 
@@ -386,46 +375,15 @@ class BaselineModel:
                        for _ in range(cfg.encoder_depth)]
         self.head = PredictionHead(cfg, rng)
 
-    @property
-    def core_len(self) -> int:
-        return self.cfg.core_len
-
-    @property
-    def context_len(self) -> int:
-        return self.cfg.context_len
-
-    def forward(self, target: dict, partner: dict | None = None,
-                train: bool = False, rng=None) -> Tensor:
-        cfg = self.cfg
-        target = as_bundle(target, cfg.np_dtype)
-        _check_bundle(target, cfg, "target")
+    def _features(self, target, length, partner, train, rng) -> Tensor:
         enc = self.streams(target, train, rng)
         fused = T.concat([enc[s] for s in STREAMS], axis=-1)
         for layer in self.fusion:
             fused = layer(fused, train, rng)
-        y = self.head(fused, train, rng)
-        if not train:
-            y = T.constant(np.clip(y.data, 0.0, 1.0))
-        return y
+        return fused
 
-    def predict_windows(self, batch) -> np.ndarray:
-        with T.no_grad():
-            y = self.forward(batch.target, train=False)
-        return y.data[..., 0]
 
-    def named_parameters(self):
-        params = prefixed("streams", self.streams.named_parameters())
-        for i, layer in enumerate(self.fusion):
-            params += prefixed(f"fusion.{i}", layer.named_parameters())
-        params += prefixed("head", self.head.named_parameters())
-        return params
-
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for _, p in self.named_parameters())
+MODELS = {cls.arch: cls for cls in (EngagementModel, BaselineModel)}
 
 
 def param_count(cfg: ModelConfig, arch: str = "dialogue") -> int:
@@ -441,25 +399,13 @@ def param_count(cfg: ModelConfig, arch: str = "dialogue") -> int:
     if arch == "baseline":
         return streams + cfg.encoder_depth * enc(cfg.head_in_dim, cfg.ffn_mult) + head
 
-    per_role = streams
-    if cfg.use_group_fusion:
-        per_role += cfg.encoder_depth * (enc(cfg.audio_dim, cfg.ffn_mult)
-                                         + enc(cfg.video_dim, cfg.ffn_mult))
-    total = per_role
-    if cfg.use_partner_cross:
-        if not cfg.share_stream_encoders:
-            total += per_role
-        total += cfg.cross_layers * (PartnerCrossLayer.param_count(cfg.audio_dim, cfg.ffn_mult)
-                                     + PartnerCrossLayer.param_count(cfg.video_dim, cfg.ffn_mult))
-    return total + head
-
-
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return asdict(cfg)
-
-
-def _config_from_dict(d: dict) -> ModelConfig:
-    return ModelConfig(**d)
+    groups = enc(cfg.audio_dim, cfg.ffn_mult) + enc(cfg.video_dim, cfg.ffn_mult)
+    per_role = streams + (cfg.encoder_depth * groups if cfg.use_group_fusion else 0)
+    if not cfg.use_partner_cross:
+        return per_role + head
+    roles = 1 if cfg.share_stream_encoders else 2
+    # a cross layer holds the same parameter set as an encoder layer of its width
+    return roles * per_role + cfg.cross_layers * groups + head
 
 
 def save_checkpoint(path, model, extra: dict | None = None) -> None:
@@ -478,7 +424,7 @@ def save_checkpoint(path, model, extra: dict | None = None) -> None:
     manifest = {
         "schema_version": 1,
         "arch": model.arch,
-        "config": _config_to_dict(model.cfg),
+        "config": asdict(model.cfg),
         "params": manifest_params,
         "num_values": offset,
     }
@@ -496,45 +442,73 @@ def save_checkpoint(path, model, extra: dict | None = None) -> None:
 def load_checkpoint(path):
     """Rebuild the model a checkpoint describes; returns (model, manifest).
 
-    Raises DataFormatError for a file of another version and for a manifest
-    that leaves out any parameter the model has (it would otherwise keep its
-    seed-0 init silently)."""
+    Nothing on disk is trusted. The header must be complete and of this
+    version. The manifest must be a JSON object naming a known arch and only
+    ModelConfig fields. Its parameters must be exactly the model's names and
+    shapes, at offsets that run contiguously from 0 in manifest order and end
+    at num_values, which is the size of the blob. Any breach raises
+    DataFormatError naming the file, and the parameter where there is one."""
     from .data import DataFormatError  # shared error taxonomy for file issues
 
+    def bad(message: str) -> DataFormatError:
+        return DataFormatError(f"{path}: {message}")
+
     raw = Path(path).read_bytes()
+    if len(raw) < 16:
+        raise bad(f"truncated header ({len(raw)} bytes, need 16)")
     if raw[:4] != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"{path}: bad checkpoint magic {raw[:4]!r} at offset 0")
-    version = struct.unpack_from("<I", raw, 4)[0]
+        raise bad(f"bad checkpoint magic {raw[:4]!r} at offset 0")
+    version, mlen = struct.unpack_from("<IQ", raw, 4)
     if version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {version}, "
-                              f"expected {CHECKPOINT_VERSION}")
-    (mlen,) = struct.unpack_from("<Q", raw, 8)
+        raise bad(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     header_end = 16 + mlen
     if header_end > len(raw):
-        raise DataFormatError(f"{path}: truncated manifest (need {header_end} bytes, "
-                              f"have {len(raw)})")
-    manifest = json.loads(raw[16:header_end].decode("utf-8"))
-    blob = np.frombuffer(raw[header_end:], dtype="<f4")
-    if blob.size != manifest["num_values"]:
-        raise DataFormatError(f"{path}: parameter blob has {blob.size} values, manifest "
-                              f"says {manifest['num_values']} (offset {header_end})")
-    cfg = _config_from_dict(manifest["config"])
-    cls = BaselineModel if manifest["arch"] == "baseline" else EngagementModel
-    model = cls(cfg, seed=0)
+        raise bad(f"truncated manifest (need {header_end} bytes, have {len(raw)})")
+    try:
+        manifest = json.loads(raw[16:header_end].decode("utf-8"))
+    except ValueError as exc:
+        raise bad(f"manifest is not UTF-8 JSON ({exc})") from None
+    if not isinstance(manifest, dict) or not {"arch", "config", "params",
+                                              "num_values"} <= manifest.keys():
+        raise bad("manifest is not a JSON object with arch, config, params and num_values")
+    arch, entries = manifest["arch"], manifest["params"]
+    if not isinstance(arch, str) or arch not in MODELS:
+        raise bad(f"unknown arch {arch!r} (have: {', '.join(MODELS)})")
+    try:  # unknown keys and a non-object config raise TypeError here
+        cfg = ModelConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise bad(f"config is not a valid ModelConfig ({exc})") from None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and set(e) == {"name", "offset", "shape"}
+            and isinstance(e["name"], str) for e in entries):
+        raise bad("manifest params must be a list of {name, offset, shape} objects")
+
+    model = MODELS[arch](cfg, seed=0)
     store = dict(model.named_parameters())
-    on_disk = {entry["name"] for entry in manifest["params"]}
-    missing = [name for name in store if name not in on_disk]
+    listed = {entry["name"] for entry in entries}
+    missing = [name for name in store if name not in listed]
     if missing:
-        raise DataFormatError(f"{path}: manifest has no parameter '{missing[0]}' "
-                              f"({len(missing)} missing in all)")
-    for entry in manifest["params"]:
-        name, off, shape = entry["name"], entry["offset"], tuple(entry["shape"])
-        if name not in store:
-            raise DataFormatError(f"{path}: unknown parameter '{name}' in manifest")
-        p = store[name]
-        n = int(np.prod(shape)) if shape else 1
-        if p.data.shape != shape:
-            raise DataFormatError(f"{path}: parameter '{name}' has shape {shape} on disk, "
-                                  f"model expects {p.data.shape}")
-        p.data = blob[off:off + n].reshape(shape).astype(cfg.np_dtype)
+        raise bad(f"manifest has no parameter '{missing[0]}' ({len(missing)} missing in all)")
+    if len(entries) != len(store):  # none is missing, so a name is unknown or repeated
+        raise bad(f"manifest lists {len(entries)} parameters, the model has {len(store)}")
+    offset = 0
+    for entry in entries:
+        name, p = entry["name"], store[entry["name"]]
+        if entry["shape"] != list(p.data.shape):
+            raise bad(f"parameter '{name}' has shape {entry['shape']} on disk, "
+                      f"model expects {p.data.shape}")
+        if entry["offset"] != offset:
+            raise bad(f"parameter '{name}' is at offset {entry['offset']}, expected {offset} "
+                      f"(offsets run contiguously in manifest order)")
+        offset += p.data.size
+    if manifest["num_values"] != offset:
+        raise bad(f"parameters hold {offset} values, manifest says {manifest['num_values']}")
+    if len(raw) - header_end != 4 * offset:
+        raise bad(f"parameter blob has {len(raw) - header_end} bytes, expected {4 * offset} "
+                  f"(offset {header_end})")
+
+    blob = np.frombuffer(raw[header_end:], dtype="<f4")
+    for entry in entries:
+        p, off = store[entry["name"]], entry["offset"]
+        p.data = blob[off:off + p.data.size].reshape(p.data.shape).astype(cfg.np_dtype)
     return model, manifest

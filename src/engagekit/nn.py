@@ -3,8 +3,13 @@
 Linear projection, multi-head attention (self and cross), position-wise
 feed-forward, sinusoidal positional encoding, inverted dropout, and a
 standard pre-norm transformer encoder layer. Blocks accept either a single
-window ``[L, D]`` or a batch of windows ``[B, L, D]``; parameters are plain
-tensors exposed via ``named_parameters`` for the optimizer and checkpoints.
+window ``[L, D]`` or a batch of windows ``[B, L, D]``.
+
+Every block is a ``Module``: ``named_parameters`` walks its attributes in the
+order ``__init__`` set them and yields each ``Tensor`` under its attribute
+name, each sub-module's parameters as ``attr.<name>`` and each module of a
+list as ``attr.<i>.<name>``. These names key the optimizer state and the
+checkpoints; a block whose checkpoint names differ overrides the walk.
 """
 
 from __future__ import annotations
@@ -25,6 +30,30 @@ def prefixed(prefix: str, items) -> list[tuple[str, Tensor]]:
     return [(f"{prefix}.{name}", p) for name, p in items]
 
 
+class Module:
+    """Base of every block and model; see the module docstring for the
+    parameter naming rule."""
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        params = []
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                params.append((attr, value))
+            elif isinstance(value, Module):
+                params += prefixed(attr, value.named_parameters())
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    params += prefixed(f"{attr}.{i}", item.named_parameters())
+        return params
+
+    def zero_grad(self) -> None:
+        for _, p in self.named_parameters():
+            p.zero_grad()
+
+    def num_parameters(self) -> int:
+        return sum(p.data.size for _, p in self.named_parameters())
+
+
 def dropout(x: Tensor, rate: float, train: bool,
             rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: scales kept units by 1/(1-rate); identity in eval."""
@@ -39,7 +68,7 @@ def dropout(x: Tensor, rate: float, train: bool,
     return T.mul(x, T.constant(mask))
 
 
-class Linear:
+class Linear(Module):
     """Affine map x @ W + b with Xavier-uniform init (bias optional)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng, dtype=np.float64,
@@ -59,17 +88,12 @@ class Linear:
         out = T.matmul(x, self.weight)
         return out if self.bias is None else T.add(out, self.bias)
 
-    def named_parameters(self):
-        if self.bias is None:
-            return [("weight", self.weight)]
-        return [("weight", self.weight), ("bias", self.bias)]
-
     @staticmethod
     def param_count(in_dim: int, out_dim: int, bias: bool = True) -> int:
         return in_dim * out_dim + (out_dim if bias else 0)
 
 
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float64):
         self.dim = dim
         self.eps = eps
@@ -79,15 +103,12 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta, self.eps)
 
-    def named_parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
     @staticmethod
     def param_count(dim: int) -> int:
         return 2 * dim
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product attention with per-head splitting.
 
     Query, key and value each go through their own projection; per-head
@@ -145,18 +166,12 @@ class MultiHeadAttention:
             out = T.reshape(out, out.shape[1:])
         return out
 
-    def named_parameters(self):
-        return (prefixed("wq", self.wq.named_parameters())
-                + prefixed("wk", self.wk.named_parameters())
-                + prefixed("wv", self.wv.named_parameters())
-                + prefixed("wo", self.wo.named_parameters()))
-
     @staticmethod
     def param_count(dim: int) -> int:
         return 3 * Linear.param_count(dim, dim) + Linear.param_count(dim, dim, bias=False)
 
 
-class FeedForward:
+class FeedForward(Module):
     """Position-wise MLP: dim -> mult*dim -> dim with GELU and hidden dropout."""
 
     def __init__(self, dim: int, mult: int, dropout_rate: float, rng,
@@ -172,16 +187,12 @@ class FeedForward:
         h = dropout(T.gelu(self.lin1(x)), self.dropout_rate, train, rng)
         return self.lin2(h)
 
-    def named_parameters(self):
-        return prefixed("lin1", self.lin1.named_parameters()) + \
-            prefixed("lin2", self.lin2.named_parameters())
-
     @staticmethod
     def param_count(dim: int, mult: int) -> int:
         return Linear.param_count(dim, mult * dim) + Linear.param_count(mult * dim, dim)
 
 
-class TransformerEncoderLayer:
+class TransformerEncoderLayer(Module):
     """Pre-norm transformer layer: x + Attn(Norm(x)), then + FFN(Norm(.))."""
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
@@ -199,12 +210,6 @@ class TransformerEncoderLayer:
         h = T.add(x, self.attn(n1, n1, train, rng))
         return T.add(h, self.ffn(self.norm2(h), train, rng))
 
-    def named_parameters(self):
-        return (prefixed("norm1", self.norm1.named_parameters())
-                + prefixed("attn", self.attn.named_parameters())
-                + prefixed("norm2", self.norm2.named_parameters())
-                + prefixed("ffn", self.ffn.named_parameters()))
-
     @staticmethod
     def param_count(dim: int, ffn_mult: int = 4) -> int:
         return (2 * LayerNorm.param_count(dim)
@@ -212,7 +217,7 @@ class TransformerEncoderLayer:
                 + FeedForward.param_count(dim, ffn_mult))
 
 
-class PositionalEncoding:
+class PositionalEncoding(Module):
     """Fixed sinusoidal table [max_len, dim]; added once after projection."""
 
     def __init__(self, max_len: int, dim: int, dtype=np.float64):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -275,15 +275,6 @@ def shift(a: Tensor, s: float) -> Tensor:
     return _record("shift", (a,), out_data, backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * (a.data > 0), fresh=True)
-
-    return _record("relu", (a,), out_data, backward)
-
-
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation."""
     x = a.data
@@ -385,19 +376,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
             _accumulate(a, full, fresh=True)
 
     return _record("narrow", (a,), out_data, backward)
-
-
-def split(a: Tensor, sizes: Iterable[int], axis: int = -1) -> list[Tensor]:
-    """Inverse of concat: consecutive narrows of the given extents."""
-    sizes = list(sizes)
-    ax = axis if axis >= 0 else a.ndim + axis
-    if sum(sizes) != a.shape[ax]:
-        raise ShapeError(f"split: sizes {sizes} do not cover axis {axis} of shape {a.shape}")
-    out, start = [], 0
-    for n in sizes:
-        out.append(narrow(a, ax, start, n))
-        start += n
-    return out
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +43,6 @@ class TrainConfig:
     grad_clip: float = 0.0               # 0 disables
     weight_decay: float = 0.0            # 0 disables
     lr_schedule: str = "none"            # "none" | "cosine" (per-epoch decay)
-    log_interval: int = 0                # batches between progress lines; 0 = off
     eval_interval: int = 1               # epochs between validation passes
 
     def __post_init__(self):
@@ -114,20 +114,14 @@ class EmaState:
         for name, p in self.params:
             self.shadow[name], p.data = p.data, self.shadow[name]
 
-    class _Swapped:
-        def __init__(self, ema):
-            self.ema = ema
-
-        def __enter__(self):
-            self.ema.swap()
-            return self.ema
-
-        def __exit__(self, *exc):
-            self.ema.swap()
-            return False
-
-    def swapped(self) -> "_Swapped":
-        return EmaState._Swapped(self)
+    @contextmanager
+    def swapped(self):
+        """The shadow weights are live inside the block, restored on exit."""
+        self.swap()
+        try:
+            yield self
+        finally:
+            self.swap()
 
 
 def evaluate_with_ema(model, ema: EmaState, sessions, batch_size: int = 64) -> EvalReport:
@@ -226,8 +220,6 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
             optimizer.step()
             ema.update()
             losses.append(float(loss.data))
-            if cfg.log_interval and (bi + 1) % cfg.log_interval == 0 and not quiet:
-                print(f"  epoch {epoch} batch {bi + 1}: loss {losses[-1]:.6f}")
         train_loss = float(np.mean(losses)) if losses else float("nan")
 
         val_ccc = float("nan")

@@ -35,19 +35,24 @@ def random_bundle(cfg: ModelConfig, length: int, rng: np.random.Generator,
 
 
 def damaged_checkpoint(path, model, version: int | None = None,
-                       drop: str | None = None) -> None:
-    """Save ``model`` to ``path``, then overwrite the header's version field
-    and/or remove one parameter's entry from the manifest (blob untouched)."""
+                       drop: str | None = None, edit=None, keep: int | None = None) -> None:
+    """Save ``model`` to ``path``, then overwrite the header's version field,
+    remove one parameter's entry from the manifest, replace the manifest by
+    ``edit(manifest)`` and/or cut the file to its first ``keep`` bytes. The
+    blob is left as it was written."""
     save_checkpoint(path, model)
     raw = path.read_bytes()
     (mlen,) = struct.unpack_from("<Q", raw, 8)
     manifest = json.loads(raw[16:16 + mlen])
     if drop is not None:
         manifest["params"] = [e for e in manifest["params"] if e["name"] != drop]
+    if edit is not None:
+        manifest = edit(manifest)
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
     head = raw[:8] if version is None else raw[:4] + struct.pack("<I", version)
-    path.write_bytes(head + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes
-                     + raw[16 + mlen:])
+    damaged = (head + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes
+               + raw[16 + mlen:])
+    path.write_bytes(damaged[:keep])
 
 
 @pytest.fixture

@@ -86,16 +86,37 @@ def test_missing_data_dir_is_data_error(tmp_path, capsys):
     assert "error[data]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", [{"version": 1}, {"drop": "head.norm.gamma"}],
-                         ids=["version_1", "missing_param"])
-def test_eval_refuses_damaged_checkpoint(tmp_path, capsys, damage):
+def _set_offset(index: int, offset: int):
+    """Manifest edit that moves parameter ``index`` to ``offset``."""
+    def edit(manifest):
+        manifest["params"][index]["offset"] = offset
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("damage, named", [
+    pytest.param({"version": 1}, "version 1", id="version_1"),
+    pytest.param({"drop": "head.norm.gamma"}, "'head.norm.gamma'", id="missing_param"),
+    pytest.param({"keep": 6}, "truncated header", id="short_header"),
+    pytest.param({"edit": lambda m: [m]}, "JSON object", id="manifest_not_object"),
+    pytest.param({"edit": lambda m: {k: v for k, v in m.items() if k != "num_values"}},
+                 "num_values", id="no_num_values"),
+    pytest.param({"edit": lambda m: {**m, "arch": "solo"}}, "'solo'", id="unknown_arch"),
+    pytest.param({"edit": lambda m: {**m, "config": {**m["config"], "width": 8}}},
+                 "'width'", id="unknown_config_key"),
+    pytest.param({"edit": _set_offset(1, 0)}, "'target.proj.opensmile.bias'",
+                 id="shared_offset"),
+    pytest.param({"edit": _set_offset(-1, 10**9)}, "'head.lin2.bias'",
+                 id="offset_past_blob"),
+])
+def test_eval_refuses_damaged_checkpoint(tmp_path, capsys, damage, named):
     _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
     ckpt = tmp_path / "damaged.ckpt"
     damaged_checkpoint(ckpt, EngagementModel(toy_config(), seed=0), **damage)
     code = dispatch(["eval", "--data", str(val_dir), "--ckpt", str(ckpt)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "error[data]" in err and "damaged.ckpt" in err
+    assert "error[data]" in err and "damaged.ckpt" in err and named in err
 
 
 def test_gradcheck_breach_is_numeric_error(monkeypatch, capsys):

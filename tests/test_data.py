@@ -3,8 +3,7 @@ import pytest
 
 from engagekit.data import (DataFormatError, SynthConfig, SessionRecord, RoleData,
                             write_matrix, read_matrix, save_session, load_session,
-                            load_sessions, synth_session, synth_corpus,
-                            partner_aggregate)
+                            load_sessions, synth_session, synth_corpus)
 from engagekit.model import STREAMS
 
 from conftest import TOY_FEATURE_DIMS
@@ -174,16 +173,3 @@ def test_synth_partner_coupling_correlates():
     p = record.roles["partner"].labels
     assert np.corrcoef(t, p)[0, 1] > 0.5
 
-
-def test_partner_aggregate():
-    rng = np.random.default_rng(0)
-    one = {"clip": rng.standard_normal((5, 3))}
-    assert partner_aggregate([one]) is one
-    merged = partner_aggregate([one, {"clip": one["clip"].copy()}])
-    assert np.allclose(merged["clip"], one["clip"])
-    opposite = {"clip": -one["clip"]}
-    assert np.allclose(partner_aggregate([one, opposite])["clip"], 0.0)
-    with pytest.raises(ValueError):
-        partner_aggregate([one, {"clip": rng.standard_normal((4, 3))}])
-    with pytest.raises(ValueError):
-        partner_aggregate([])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,20 @@ def test_checkpoint_preserves_predictions(tmp_path, rng):
     loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
     after = loaded.forward(target, partner).data
     assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("cls, overrides, digest", [
+    (EngagementModel, {}, "d614604ddb81c78a2ec2c88772cd7b7b06a747f7e8c18dbbfb7d2fdac152719d"),
+    (EngagementModel, {"share_stream_encoders": True},
+     "d2fc1081b52ad984e9851d2a83af55d4b37b4389e92fcba5ce76da980e6d2bec"),
+    (BaselineModel, {}, "1d98ce831da5daf4a24e7e87a4f7848122d8408e762041e095ca21329ae535e5"),
+], ids=["dialogue", "dialogue_shared_encoders", "baseline"])
+def test_checkpoint_golden_bytes(tmp_path, cls, overrides, digest):
+    # Pins the parameter names, their order and the seeded init draws: a
+    # refactor that changes any of them changes these file digests.
+    path = tmp_path / "golden.ckpt"
+    save_checkpoint(path, cls(toy_config(dtype="float32", **overrides), seed=0))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_checkpoint_bad_magic(tmp_path):
