@@ -14,6 +14,10 @@ Both architectures share one base: its ``forward`` checks the target bundle,
 runs the architecture's own feature path to the fused 5d features, applies
 the prediction head and clamps to [0, 1] in eval mode. ``MODELS`` maps a
 checkpoint's arch name to its class.
+
+Parameters are named by attribute path (``nn.Module.named_parameters``), such
+as ``audio_cross.0.ffn.lin1.bias``; with shared stream encoders the partner's
+fusion is the target's, so its parameters appear once, as ``target_fusion.*``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .nn import (Linear, LayerNorm, MultiHeadAttention, FeedForward, Module,
-                 TransformerEncoderLayer, PositionalEncoding, dropout, prefixed)
+                 TransformerEncoderLayer, PositionalEncoding)
 from .tensor import Tensor
 
 STREAMS = ("opensmile", "w2vbert", "clip", "openface", "openpose")
@@ -43,7 +47,7 @@ DEFAULT_FEATURE_DIMS = {
 }
 
 CHECKPOINT_MAGIC = b"DATC"
-CHECKPOINT_VERSION = 2                      # v2: the head gained a final LayerNorm
+CHECKPOINT_VERSION = 3                      # v3: attribute-path names, blob in cfg.dtype
 
 
 @dataclass
@@ -148,7 +152,6 @@ class StreamEncoders(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.model_dim
         dt = cfg.np_dtype
-        self.cfg = cfg
         self.proj = {s: Linear(cfg.feature_dims[s], d, rng, dt) for s in STREAMS}
         self.layers = {s: [TransformerEncoderLayer(d, cfg.heads, cfg.dropout, rng,
                                                    cfg.ffn_mult, dt)
@@ -167,14 +170,6 @@ class StreamEncoders(Module):
             out[s] = x
         return out
 
-    def named_parameters(self):
-        params = []
-        for s in STREAMS:
-            params += prefixed(f"proj.{s}", self.proj[s].named_parameters())
-            for i, layer in enumerate(self.layers[s]):
-                params += prefixed(f"enc.{s}.{i}", layer.named_parameters())
-        return params
-
 
 class GroupFusion(Module):
     """Stream encoders plus concat into audio [.., L, 2d] / video [.., L, 3d]
@@ -182,7 +177,6 @@ class GroupFusion(Module):
     encoder stack, otherwise the raw concatenations flow through."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        self.cfg = cfg
         self.streams = StreamEncoders(cfg, rng)
         self.audio_layers: list[TransformerEncoderLayer] = []
         self.video_layers: list[TransformerEncoderLayer] = []
@@ -205,14 +199,6 @@ class GroupFusion(Module):
             video = layer(video, train, rng)
         return audio, video
 
-    def named_parameters(self):
-        params = list(self.streams.named_parameters())
-        for i, layer in enumerate(self.audio_layers):
-            params += prefixed(f"audio.{i}", layer.named_parameters())
-        for i, layer in enumerate(self.video_layers):
-            params += prefixed(f"video.{i}", layer.named_parameters())
-        return params
-
 
 class PartnerCrossLayer(Module):
     """Cross-attention encoder layer with the partner as query.
@@ -230,11 +216,10 @@ class PartnerCrossLayer(Module):
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
                  ffn_mult: int = 4, dtype=np.float64):
-        self.dim = dim
         self.norm_kv = LayerNorm(dim, dtype=dtype)
         self.attn = MultiHeadAttention(dim, heads, dropout_rate, rng, dtype)
         self.norm_ffn = LayerNorm(dim, dtype=dtype)
-        self.ffn = FeedForward(dim, ffn_mult, dropout_rate, rng, dtype)
+        self.ffn = FeedForward(dim, ffn_mult * dim, dim, dropout_rate, rng, dtype)
 
     def __call__(self, target: Tensor, partner: Tensor, train: bool = False,
                  rng=None) -> Tensor:
@@ -247,7 +232,7 @@ class PartnerCrossLayer(Module):
 
 
 class PredictionHead(Module):
-    """Final LayerNorm, then a two-layer MLP emitting one value per frame:
+    """Final LayerNorm, then a ``FeedForward`` emitting one value per frame:
     5d -> hidden -> 1.
 
     The blocks feeding the head are all pre-norm, so their residual stream
@@ -258,14 +243,11 @@ class PredictionHead(Module):
 
     def __init__(self, cfg: ModelConfig, rng):
         dt = cfg.np_dtype
-        self.dropout_rate = cfg.dropout
         self.norm = LayerNorm(cfg.head_in_dim, dtype=dt)
-        self.lin1 = Linear(cfg.head_in_dim, cfg.head_hidden_dim, rng, dt)
-        self.lin2 = Linear(cfg.head_hidden_dim, 1, rng, dt)
+        self.mlp = FeedForward(cfg.head_in_dim, cfg.head_hidden_dim, 1, cfg.dropout, rng, dt)
 
     def __call__(self, x: Tensor, train: bool = False, rng=None) -> Tensor:
-        h = dropout(T.gelu(self.lin1(self.norm(x))), self.dropout_rate, train, rng)
-        return self.lin2(h)
+        return self.mlp(self.norm(x), train, rng)
 
 
 class _Architecture(Module):
@@ -347,17 +329,6 @@ class EngagementModel(_Architecture):
                 video = layer(video, p_video, train, rng)
         return T.concat([audio, video], axis=-1)
 
-    def named_parameters(self):
-        params = prefixed("target", self.target_fusion.named_parameters())
-        if self.partner_fusion is not None and self.partner_fusion is not self.target_fusion:
-            params += prefixed("partner", self.partner_fusion.named_parameters())
-        for i, layer in enumerate(self.audio_cross):
-            params += prefixed(f"cross.audio.{i}", layer.named_parameters())
-        for i, layer in enumerate(self.video_cross):
-            params += prefixed(f"cross.video.{i}", layer.named_parameters())
-        params += prefixed("head", self.head.named_parameters())
-        return params
-
 
 class BaselineModel(_Architecture):
     """Solo baseline: per-stream encoders, concat all five streams to 5d,
@@ -394,8 +365,7 @@ def param_count(cfg: ModelConfig, arch: str = "dialogue") -> int:
     streams = sum(Linear.param_count(cfg.feature_dims[s], d) for s in STREAMS)
     streams += 5 * cfg.encoder_depth * enc(d, cfg.ffn_mult)
     head = (LayerNorm.param_count(cfg.head_in_dim)
-            + Linear.param_count(cfg.head_in_dim, cfg.head_hidden_dim)
-            + Linear.param_count(cfg.head_hidden_dim, 1))
+            + FeedForward.param_count(cfg.head_in_dim, cfg.head_hidden_dim, 1))
     if arch == "baseline":
         return streams + cfg.encoder_depth * enc(cfg.head_in_dim, cfg.ffn_mult) + head
 
@@ -409,34 +379,33 @@ def param_count(cfg: ModelConfig, arch: str = "dialogue") -> int:
 
 
 def save_checkpoint(path, model, extra: dict | None = None) -> None:
-    """Single-file checkpoint: magic, version, JSON manifest (config and
-    per-parameter offsets/shapes), then all parameters as one little-endian
-    float32 blob. Round-trips bit-exactly at float32."""
+    """Single-file checkpoint: magic, version, JSON manifest (arch, config and
+    the ``{name, shape}`` of each parameter in walk order), then all
+    parameters as one little-endian blob in the config's dtype, so a model
+    round-trips bit-exactly. The file is written to ``<path>.tmp`` and moved
+    over ``path`` only when complete, so a failed write leaves an existing
+    checkpoint as it was."""
     params = model.named_parameters()
-    manifest_params = []
-    chunks = []
-    offset = 0
-    for name, p in params:
-        flat = np.ascontiguousarray(p.data, dtype="<f4")
-        manifest_params.append({"name": name, "offset": offset, "shape": list(p.data.shape)})
-        chunks.append(flat.tobytes())
-        offset += flat.size
     manifest = {
-        "schema_version": 1,
         "arch": model.arch,
         "config": asdict(model.cfg),
-        "params": manifest_params,
-        "num_values": offset,
+        "params": [{"name": name, "shape": list(p.data.shape)} for name, p in params],
     }
     if extra:
         manifest["extra"] = extra
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", len(manifest_bytes)))
-        f.write(manifest_bytes)
-        f.write(b"".join(chunks))
+    dtype = np.dtype(model.cfg.dtype).newbyteorder("<")
+    blob = b"".join(np.ascontiguousarray(p.data, dtype=dtype).tobytes() for _, p in params)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(manifest_bytes))
+                    + manifest_bytes)
+            f.write(blob)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
@@ -444,10 +413,10 @@ def load_checkpoint(path):
 
     Nothing on disk is trusted. The header must be complete and of this
     version. The manifest must be a JSON object naming a known arch and only
-    ModelConfig fields. Its parameters must be exactly the model's names and
-    shapes, at offsets that run contiguously from 0 in manifest order and end
-    at num_values, which is the size of the blob. Any breach raises
-    DataFormatError naming the file, and the parameter where there is one."""
+    ModelConfig fields. Its params must be exactly the model's ``{name,
+    shape}`` list, in walk order, and the blob exactly that many values of the
+    config's dtype. Any breach raises DataFormatError naming the file, and
+    the parameter where there is one."""
     from .data import DataFormatError  # shared error taxonomy for file issues
 
     def bad(message: str) -> DataFormatError:
@@ -468,9 +437,8 @@ def load_checkpoint(path):
         manifest = json.loads(raw[16:header_end].decode("utf-8"))
     except ValueError as exc:
         raise bad(f"manifest is not UTF-8 JSON ({exc})") from None
-    if not isinstance(manifest, dict) or not {"arch", "config", "params",
-                                              "num_values"} <= manifest.keys():
-        raise bad("manifest is not a JSON object with arch, config, params and num_values")
+    if not isinstance(manifest, dict) or not {"arch", "config", "params"} <= manifest.keys():
+        raise bad("manifest is not a JSON object with arch, config and params")
     arch, entries = manifest["arch"], manifest["params"]
     if not isinstance(arch, str) or arch not in MODELS:
         raise bad(f"unknown arch {arch!r} (have: {', '.join(MODELS)})")
@@ -478,37 +446,29 @@ def load_checkpoint(path):
         cfg = ModelConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:
         raise bad(f"config is not a valid ModelConfig ({exc})") from None
-    if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and set(e) == {"name", "offset", "shape"}
-            and isinstance(e["name"], str) for e in entries):
-        raise bad("manifest params must be a list of {name, offset, shape} objects")
+    if not isinstance(entries, list):
+        raise bad("manifest params must be a list of {name, shape} objects")
 
     model = MODELS[arch](cfg, seed=0)
-    store = dict(model.named_parameters())
-    listed = {entry["name"] for entry in entries}
-    missing = [name for name in store if name not in listed]
-    if missing:
-        raise bad(f"manifest has no parameter '{missing[0]}' ({len(missing)} missing in all)")
-    if len(entries) != len(store):  # none is missing, so a name is unknown or repeated
-        raise bad(f"manifest lists {len(entries)} parameters, the model has {len(store)}")
-    offset = 0
-    for entry in entries:
-        name, p = entry["name"], store[entry["name"]]
-        if entry["shape"] != list(p.data.shape):
-            raise bad(f"parameter '{name}' has shape {entry['shape']} on disk, "
-                      f"model expects {p.data.shape}")
-        if entry["offset"] != offset:
-            raise bad(f"parameter '{name}' is at offset {entry['offset']}, expected {offset} "
-                      f"(offsets run contiguously in manifest order)")
-        offset += p.data.size
-    if manifest["num_values"] != offset:
-        raise bad(f"parameters hold {offset} values, manifest says {manifest['num_values']}")
-    if len(raw) - header_end != 4 * offset:
-        raise bad(f"parameter blob has {len(raw) - header_end} bytes, expected {4 * offset} "
-                  f"(offset {header_end})")
+    params = model.named_parameters()
+    expected = [{"name": name, "shape": list(p.data.shape)} for name, p in params]
+    if entries != expected:  # report the first entry that differs
+        i = next(i for i, want in enumerate(expected + [None])
+                 if i == len(entries) or entries[i] != want)
+        got = entries[i] if i < len(entries) else "missing"
+        want = (f"'{expected[i]['name']}' of shape {expected[i]['shape']}"
+                if i < len(expected) else "no parameter")
+        raise bad(f"manifest params entry {i} is {got}, the model expects {want} there")
+    dtype = np.dtype(cfg.dtype).newbyteorder("<")
+    num_values = model.num_parameters()
+    if len(raw) - header_end != dtype.itemsize * num_values:
+        raise bad(f"parameter blob has {len(raw) - header_end} bytes, expected "
+                  f"{dtype.itemsize * num_values} ({num_values} {cfg.dtype} values "
+                  f"from offset {header_end})")
 
-    blob = np.frombuffer(raw[header_end:], dtype="<f4")
-    for entry in entries:
-        p, off = store[entry["name"]], entry["offset"]
-        p.data = blob[off:off + p.data.size].reshape(p.data.shape).astype(cfg.np_dtype)
+    blob = np.frombuffer(raw, dtype=dtype, offset=header_end)
+    offset = 0
+    for _, p in params:
+        p.data = blob[offset:offset + p.data.size].reshape(p.data.shape).astype(cfg.np_dtype)
+        offset += p.data.size
     return model, manifest

@@ -6,10 +6,11 @@ standard pre-norm transformer encoder layer. Blocks accept either a single
 window ``[L, D]`` or a batch of windows ``[B, L, D]``.
 
 Every block is a ``Module``: ``named_parameters`` walks its attributes in the
-order ``__init__`` set them and yields each ``Tensor`` under its attribute
-name, each sub-module's parameters as ``attr.<name>`` and each module of a
-list as ``attr.<i>.<name>``. These names key the optimizer state and the
-checkpoints; a block whose checkpoint names differ overrides the walk.
+order ``__init__`` set them and names each ``Tensor`` by its attribute path.
+It descends into sub-modules (``attr.<name>``), lists (``attr.<i>.<name>``)
+and dicts (``attr.<key>.<name>``). A tensor reachable by more than one path,
+as when two attributes hold the same module, is named once, by the first
+path found. These names key the optimizer state and the checkpoints.
 """
 
 from __future__ import annotations
@@ -26,25 +27,26 @@ def _init_rng(rng) -> np.random.Generator:
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
-def prefixed(prefix: str, items) -> list[tuple[str, Tensor]]:
-    return [(f"{prefix}.{name}", p) for name, p in items]
-
-
 class Module:
     """Base of every block and model; see the module docstring for the
     parameter naming rule."""
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        params = []
-        for attr, value in vars(self).items():
-            if isinstance(value, Tensor):
-                params.append((attr, value))
-            elif isinstance(value, Module):
-                params += prefixed(attr, value.named_parameters())
+        found: dict[int, tuple[str, Tensor]] = {}   # id -> first (path, tensor)
+
+        def walk(value, path: str) -> None:
+            if isinstance(value, Module):
+                value = vars(value)
             elif isinstance(value, list):
-                for i, item in enumerate(value):
-                    params += prefixed(f"{attr}.{i}", item.named_parameters())
-        return params
+                value = dict(enumerate(value))
+            if isinstance(value, Tensor):
+                found.setdefault(id(value), (path, value))
+            elif isinstance(value, dict):
+                for key, item in value.items():
+                    walk(item, f"{path}.{key}" if path else str(key))
+
+        walk(self, "")
+        return list(found.values())
 
     def zero_grad(self) -> None:
         for _, p in self.named_parameters():
@@ -95,7 +97,6 @@ class Linear(Module):
 
 class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float64):
-        self.dim = dim
         self.eps = eps
         self.gamma = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
@@ -172,15 +173,14 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    """Position-wise MLP: dim -> mult*dim -> dim with GELU and hidden dropout."""
+    """Two-layer MLP: in_dim -> hidden -> out_dim with GELU and hidden dropout."""
 
-    def __init__(self, dim: int, mult: int, dropout_rate: float, rng,
-                 dtype=np.float64):
+    def __init__(self, in_dim: int, hidden: int, out_dim: int, dropout_rate: float,
+                 rng, dtype=np.float64):
         rng = _init_rng(rng)
-        self.dim = dim
         self.dropout_rate = dropout_rate
-        self.lin1 = Linear(dim, mult * dim, rng, dtype)
-        self.lin2 = Linear(mult * dim, dim, rng, dtype)
+        self.lin1 = Linear(in_dim, hidden, rng, dtype)
+        self.lin2 = Linear(hidden, out_dim, rng, dtype)
 
     def __call__(self, x: Tensor, train: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -188,8 +188,8 @@ class FeedForward(Module):
         return self.lin2(h)
 
     @staticmethod
-    def param_count(dim: int, mult: int) -> int:
-        return Linear.param_count(dim, mult * dim) + Linear.param_count(mult * dim, dim)
+    def param_count(in_dim: int, hidden: int, out_dim: int) -> int:
+        return Linear.param_count(in_dim, hidden) + Linear.param_count(hidden, out_dim)
 
 
 class TransformerEncoderLayer(Module):
@@ -202,7 +202,7 @@ class TransformerEncoderLayer(Module):
         self.norm1 = LayerNorm(dim, dtype=dtype)
         self.attn = MultiHeadAttention(dim, heads, dropout_rate, rng, dtype)
         self.norm2 = LayerNorm(dim, dtype=dtype)
-        self.ffn = FeedForward(dim, ffn_mult, dropout_rate, rng, dtype)
+        self.ffn = FeedForward(dim, ffn_mult * dim, dim, dropout_rate, rng, dtype)
 
     def __call__(self, x: Tensor, train: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -214,7 +214,7 @@ class TransformerEncoderLayer(Module):
     def param_count(dim: int, ffn_mult: int = 4) -> int:
         return (2 * LayerNorm.param_count(dim)
                 + MultiHeadAttention.param_count(dim)
-                + FeedForward.param_count(dim, ffn_mult))
+                + FeedForward.param_count(dim, ffn_mult * dim, dim))
 
 
 class PositionalEncoding(Module):
@@ -226,7 +226,6 @@ class PositionalEncoding(Module):
         angle = pos / np.power(10000.0, 2.0 * (i // 2) / dim)
         table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
         self.max_len = max_len
-        self.dim = dim
         self.table = table.astype(dtype)
 
     def __call__(self, x: Tensor) -> Tensor:

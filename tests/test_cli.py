@@ -86,10 +86,19 @@ def test_missing_data_dir_is_data_error(tmp_path, capsys):
     assert "error[data]" in capsys.readouterr().err
 
 
-def _set_offset(index: int, offset: int):
-    """Manifest edit that moves parameter ``index`` to ``offset``."""
+def _swap_params(i: int, j: int):
+    """Manifest edit that swaps parameter entries ``i`` and ``j``."""
     def edit(manifest):
-        manifest["params"][index]["offset"] = offset
+        params = manifest["params"]
+        params[i], params[j] = params[j], params[i]
+        return manifest
+    return edit
+
+
+def _set_shape(index: int, shape: list):
+    """Manifest edit that gives parameter ``index`` another shape."""
+    def edit(manifest):
+        manifest["params"][index]["shape"] = shape
         return manifest
     return edit
 
@@ -99,20 +108,25 @@ def _set_offset(index: int, offset: int):
     pytest.param({"drop": "head.norm.gamma"}, "'head.norm.gamma'", id="missing_param"),
     pytest.param({"keep": 6}, "truncated header", id="short_header"),
     pytest.param({"edit": lambda m: [m]}, "JSON object", id="manifest_not_object"),
-    pytest.param({"edit": lambda m: {k: v for k, v in m.items() if k != "num_values"}},
-                 "num_values", id="no_num_values"),
     pytest.param({"edit": lambda m: {**m, "arch": "solo"}}, "'solo'", id="unknown_arch"),
     pytest.param({"edit": lambda m: {**m, "config": {**m["config"], "width": 8}}},
                  "'width'", id="unknown_config_key"),
-    pytest.param({"edit": _set_offset(1, 0)}, "'target.proj.opensmile.bias'",
-                 id="shared_offset"),
-    pytest.param({"edit": _set_offset(-1, 10**9)}, "'head.lin2.bias'",
-                 id="offset_past_blob"),
+    pytest.param({"edit": lambda m: {**m, "params": {}}}, "must be a list",
+                 id="params_not_list"),
+    pytest.param({"edit": _swap_params(0, 1)}, "'target_fusion.streams.proj.opensmile.weight'",
+                 id="out_of_order"),
+    pytest.param({"edit": _set_shape(-1, [2])}, "'head.mlp.lin2.bias'", id="wrong_shape"),
+    pytest.param({"keep": -4}, "parameter blob", id="blob_short"),
+    pytest.param({"dtype": "float32",
+                  "edit": lambda m: {**m, "config": {**m["config"], "dtype": "float64"}}},
+                 "float64 values", id="dtype_mismatch"),
 ])
 def test_eval_refuses_damaged_checkpoint(tmp_path, capsys, damage, named):
     _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
     ckpt = tmp_path / "damaged.ckpt"
-    damaged_checkpoint(ckpt, EngagementModel(toy_config(), seed=0), **damage)
+    damage = dict(damage)  # "dtype" is the saved model's, the rest damages its file
+    model = EngagementModel(toy_config(dtype=damage.pop("dtype", "float64")), seed=0)
+    damaged_checkpoint(ckpt, model, **damage)
     code = dispatch(["eval", "--data", str(val_dir), "--ckpt", str(ckpt)])
     assert code == 2
     err = capsys.readouterr().err

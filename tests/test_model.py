@@ -3,13 +3,17 @@ import hashlib
 import numpy as np
 import pytest
 
+import engagekit.model
 import engagekit.tensor as T
+from engagekit.data import SynthConfig, synth_session
+from engagekit.metrics import evaluate_sessions
 from engagekit.model import (ModelConfig, EngagementModel, BaselineModel, GroupFusion,
                              PartnerCrossLayer, param_count, save_checkpoint,
                              load_checkpoint, STREAMS, DEFAULT_FEATURE_DIMS)
 from engagekit.tensor import Tensor, grad_check
+from engagekit.training import TrainConfig, train
 
-from conftest import toy_config, random_bundle, damaged_checkpoint
+from conftest import TOY_FEATURE_DIMS, toy_config, random_bundle, damaged_checkpoint
 
 
 # ---------------------------------------------------------------- group fusion
@@ -266,13 +270,14 @@ def test_reduced_graph_is_stream_encoders_plus_head():
     cfg = toy_config(use_group_fusion=False, use_partner_cross=False)
     model = EngagementModel(cfg, seed=11)
     names = [n for n, _ in model.named_parameters()]
-    assert all(n.startswith(("target.proj", "target.enc", "head.")) for n in names)
+    assert all(n.startswith(("target_fusion.streams.", "head.")) for n in names)
 
 
 # ---------------------------------------------------------------- checkpoints
 
-def test_checkpoint_round_trip_bitwise(tmp_path, rng):
-    cfg = toy_config(dtype="float32")
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_round_trip_bitwise(tmp_path, rng, dtype):
+    cfg = toy_config(dtype=dtype)
     model = EngagementModel(cfg, seed=12)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, extra={"note": "unit"})
@@ -281,7 +286,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path, rng):
     for (name_a, p_a), (name_b, p_b) in zip(model.named_parameters(),
                                             loaded.named_parameters()):
         assert name_a == name_b
-        assert np.array_equal(p_a.data.astype("<f4"), p_b.data.astype("<f4"))
+        assert p_b.data.dtype == cfg.np_dtype
+        assert np.array_equal(p_a.data, p_b.data)
     # saving the reloaded model reproduces the file byte for byte
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(path2, loaded, extra={"note": "unit"})
@@ -301,10 +307,10 @@ def test_checkpoint_preserves_predictions(tmp_path, rng):
 
 
 @pytest.mark.parametrize("cls, overrides, digest", [
-    (EngagementModel, {}, "d614604ddb81c78a2ec2c88772cd7b7b06a747f7e8c18dbbfb7d2fdac152719d"),
+    (EngagementModel, {}, "5c8b6e80ae8dd186006cb7702c11077fd32317971f071544a7e7bb9270965172"),
     (EngagementModel, {"share_stream_encoders": True},
-     "d2fc1081b52ad984e9851d2a83af55d4b37b4389e92fcba5ce76da980e6d2bec"),
-    (BaselineModel, {}, "1d98ce831da5daf4a24e7e87a4f7848122d8408e762041e095ca21329ae535e5"),
+     "51b36962237d6877faf06c5454a0b70c7ac5c6f154c235c158631f3a1714ca59"),
+    (BaselineModel, {}, "853478f9596ced64c6fb974323899f4068181e4a83764ab9e62cf1753087553c"),
 ], ids=["dialogue", "dialogue_shared_encoders", "baseline"])
 def test_checkpoint_golden_bytes(tmp_path, cls, overrides, digest):
     # Pins the parameter names, their order and the seeded init draws: a
@@ -322,12 +328,14 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_version_1_refused(tmp_path):
-    # version 1 files predate the head's final LayerNorm (no head.norm.*)
-    path = tmp_path / "v1.ckpt"
-    damaged_checkpoint(path, EngagementModel(toy_config(), seed=14), version=1)
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_old_version_refused(tmp_path, version):
+    # v1 has no head LayerNorm; v2 names parameters differently and stores
+    # every blob as float32
+    path = tmp_path / f"v{version}.ckpt"
+    damaged_checkpoint(path, EngagementModel(toy_config(), seed=14), version=version)
     from engagekit.data import DataFormatError
-    with pytest.raises(DataFormatError, match=r"v1\.ckpt.*version 1"):
+    with pytest.raises(DataFormatError, match=rf"v{version}\.ckpt.*version {version}"):
         load_checkpoint(path)
 
 
@@ -338,3 +346,46 @@ def test_checkpoint_missing_parameter_refused(tmp_path):
     from engagekit.data import DataFormatError
     with pytest.raises(DataFormatError, match=r"partial\.ckpt.*'head\.norm\.gamma'"):
         load_checkpoint(path)
+
+
+def test_checkpoint_interrupted_save_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, EngagementModel(toy_config(), seed=16))
+    before = path.read_bytes()
+
+    class FailAfterHeader:
+        """A file whose first write (the header) lands and whose next raises."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError("disk full")
+            return self.f.write(data)
+
+    monkeypatch.setattr(engagekit.model, "open",
+                        lambda file, mode: FailAfterHeader(open(file, mode)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, EngagementModel(toy_config(), seed=17))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    load_checkpoint(path)
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+
+
+def test_float64_best_checkpoint_reproduces_val_ccc(tmp_path):
+    synth = SynthConfig(sessions=3, num_frames=60, seed=0, feature_dims=dict(TOY_FEATURE_DIMS))
+    sessions = [synth_session(synth, i) for i in range(3)]
+    model = EngagementModel(toy_config(core_len=8, context_len=4), seed=2)
+    train_cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=3, ema_decay=0.9, seed=5)
+    result = train(model, sessions[:2], sessions[2:], train_cfg, out_dir=tmp_path, quiet=True)
+    loaded, _ = load_checkpoint(result.best_path)
+    assert evaluate_sessions(loaded, sessions[2:]).mean_ccc == result.best_val_ccc

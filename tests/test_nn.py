@@ -161,9 +161,9 @@ def test_block_param_count_formulas():
     layer = TransformerEncoderLayer(dim, 4, 0.0, rng=10, ffn_mult=mult)
     assert (sum(p.data.size for _, p in layer.named_parameters())
             == TransformerEncoderLayer.param_count(dim, mult))
-    ffn = FeedForward(dim, mult, 0.0, rng=11)
+    ffn = FeedForward(dim, mult * dim, dim, 0.0, rng=11)
     assert sum(p.data.size for _, p in ffn.named_parameters()) == \
-        FeedForward.param_count(dim, mult)
+        FeedForward.param_count(dim, mult * dim, dim)
     mha = MultiHeadAttention(dim, 4, 0.0, rng=12)
     assert (sum(p.data.size for _, p in mha.named_parameters())
             == MultiHeadAttention.param_count(dim) == 4 * dim * dim + 3 * dim)
