@@ -21,7 +21,7 @@ from .data import (DataFormatError, SynthConfig, load_sessions, synth_corpus)
 from .metrics import LabelEchoPredictor, ccc_loss, evaluate_sessions, mse, predict_session
 from .model import (MODELS, BaselineModel, EngagementModel, GroupFusion, ModelConfig,
                     PartnerCrossLayer, STREAMS, load_checkpoint)
-from .nn import Linear, TransformerEncoderLayer
+from .nn import Linear, MultiHeadAttention, TransformerEncoderLayer
 from .tensor import GradCheckError, NonFiniteError, Tensor, grad_check
 from .training import DivergenceError, TrainConfig, train
 
@@ -227,6 +227,7 @@ GRADCHECK_SUITE = (
     ("baseline_model", 1e-4),
     ("mse_loss", 1e-6),
     ("ccc_loss", 1e-5),
+    ("attention", 1e-5),
 )
 
 
@@ -293,11 +294,19 @@ def run_gradcheck_suite(seed: int = 0, verbose: bool = True) -> float:
             label = rng.uniform(0, 1, 16)
             mask = (rng.random(16) > 0.25).astype(float)
             err = grad_check(lambda: mse(pred, label, mask), [("pred", pred)], tol=tol)
-        else:  # ccc_loss
+        elif name == "ccc_loss":
             pred = Tensor(rng.standard_normal(32), requires_grad=True)
             label = rng.uniform(0, 1, 32)
             err = grad_check(lambda: ccc_loss(pred, label), [("pred", pred)],
                              tol=tol, max_coords_per_param=16)
+        else:  # attention: batched cross-attention, query and key lengths differ
+            mha = MultiHeadAttention(8, 2, 0.0, rng=seed)
+            q_in = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
+            kv_in = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+            c = T.constant(rng.standard_normal((2, 3, 8)))
+            err = grad_check(lambda: T.tensor_sum(T.mul(mha(q_in, kv_in), c)),
+                             [("q_in", q_in), ("kv_in", kv_in)] + mha.named_parameters(),
+                             tol=tol, max_coords_per_param=4)
         worst = max(worst, err)
         if verbose:
             print(f"gradcheck {name:15s} max_rel_err {err:.3e}  (tol {tol:.0e})  ok")

@@ -81,7 +81,9 @@ def ccc_loss(pred, label, mask=None, per_window: bool = False) -> Tensor:
 
     By default all masked frames of the batch are pooled into one pair of
     series; `per_window=True` instead averages per-window losses over the
-    leading axis (each window needs >= 2 masked frames).
+    leading axis (each window needs >= 2 masked frames). Fewer masked frames
+    raise ``ValueError``; a degenerate batch, where both series are constant
+    with equal means and CCC is 0/0, raises ``NonFiniteError``.
     """
     pred = T.as_tensor(pred)
     if per_window:
@@ -114,7 +116,9 @@ def ccc_loss(pred, label, mask=None, per_window: bool = False) -> Tensor:
     gap = T.sub(mean_x, mean_y)
     denom = T.add(T.add(var_x, var_y), T.mul(gap, gap))
     if float(denom.data) == 0.0:
-        raise ValueError("ccc_loss: degenerate batch (both series constant, equal means)")
+        # 0/0: a numerical failure of the batch, not malformed input.
+        raise T.NonFiniteError("ccc_loss: degenerate batch (both series constant, "
+                               "equal means)")
     return T.shift(T.scale(T.div(cov, denom), -2.0), 1.0)
 
 

@@ -65,8 +65,8 @@ def dropout(x: Tensor, rate: float, train: bool,
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / keep
+    mask = (rng.random(x.shape, dtype=x.dtype) >= rate).astype(x.dtype)
+    mask /= 1.0 - rate
     return T.mul(x, T.constant(mask))
 
 
@@ -87,8 +87,7 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise T.ShapeError(f"linear: input last dim {x.shape[-1]} != {self.in_dim}")
-        out = T.matmul(x, self.weight)
-        return out if self.bias is None else T.add(out, self.bias)
+        return T.linear(x, self.weight, self.bias)
 
     @staticmethod
     def param_count(in_dim: int, out_dim: int, bias: bool = True) -> int:
@@ -112,10 +111,13 @@ class LayerNorm(Module):
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with per-head splitting.
 
-    Query, key and value each go through their own projection; per-head
-    scaling uses d_k = dim / heads; head outputs are concatenated and passed
-    through the output projection (with dropout in train mode). Cross
-    attention is the q_in != kv_in case.
+    Query, key and value each go through their own projection; one
+    ``T.attention`` node splits the heads, scales by 1/sqrt(d_k) with
+    d_k = dim / heads, applies the softmax and merges the head outputs,
+    which pass through the output projection (with dropout in train mode).
+    Cross attention is the q_in != kv_in case. With ``keep_weights`` a copy
+    of the attention weights is stored in ``last_weights``, shaped
+    ``[B, heads, Lq, Lk]`` (``[1, heads, Lq, Lk]`` for 2-d input).
     """
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
@@ -125,7 +127,6 @@ class MultiHeadAttention(Module):
         rng = _init_rng(rng)
         self.dim = dim
         self.heads = heads
-        self.d_k = dim // heads
         self.dropout_rate = dropout_rate
         self.wq = Linear(dim, dim, rng, dtype)
         # No key bias: softmax(q k^T) is invariant to a per-row shift, so a
@@ -145,23 +146,9 @@ class MultiHeadAttention(Module):
         if squeeze:
             q_in = T.reshape(q_in, (1,) + q_in.shape)
             kv_in = T.reshape(kv_in, (1,) + kv_in.shape)
-        b, lq = q_in.shape[0], q_in.shape[1]
-        lk = kv_in.shape[1]
-
-        def heads_first(t: Tensor, length: int) -> Tensor:
-            t = T.reshape(t, (b, length, self.heads, self.d_k))
-            return T.transpose(t, (0, 2, 1, 3))
-
-        q = heads_first(self.wq(q_in), lq)
-        k = heads_first(self.wk(kv_in), lk)
-        v = heads_first(self.wv(kv_in), lk)
-
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(self.d_k))
-        weights = T.softmax(scores, axis=-1)
+        ctx, weights = T.attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in), self.heads)
         if keep_weights:
-            self.last_weights = weights.data.copy()
-        ctx = T.matmul(weights, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, lq, self.dim))
+            self.last_weights = weights.copy()
         out = dropout(self.wo(ctx), self.dropout_rate, train, rng)
         if squeeze:
             out = T.reshape(out, out.shape[1:])

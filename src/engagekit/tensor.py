@@ -1,10 +1,13 @@
 """Minimal dense tensors with reverse-mode automatic differentiation.
 
-Covers exactly the operations the engagement model needs: matrix products
-with broadcastable batch dims, softmax, layer norm, pointwise ops, concat
-and narrow slicing, reshape/transpose, and scalar reductions. A thread-local
-tape records the forward pass in creation order (which is already a
-topological order); ``backward`` walks it once in reverse and then clears it.
+Covers exactly the operations the engagement model needs: the two fused
+nodes the network is built from, ``linear`` (an affine map over any leading
+dims as one gemm) and ``attention`` (multi-head scaled dot-product attention,
+heads split and merged inside the op); matrix products with broadcastable
+batch dims, softmax, layer norm, pointwise ops, concat and narrow slicing,
+reshape/transpose, and scalar reductions. A thread-local tape records the
+forward pass in creation order (which is already a topological order);
+``backward`` walks it once in reverse and then clears it.
 
 Float64 is the default dtype so finite-difference checks are meaningful;
 float32 arrays pass through unchanged for training throughput.
@@ -200,6 +203,96 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(db, b.shape), fresh=True)
 
     return _record("matmul", (a, b), out_data, backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` for ``x`` of shape ``[..., in]``, as one 2-D gemm.
+
+    The leading dims are flattened, so the weight gradient is one gemm over
+    all rows rather than one per batch item followed by a sum; ``x``'s
+    gradient is formed only when ``x`` requires it.
+    """
+    n_in, n_out = w.shape
+    if x.shape[-1] != n_in:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+    if b is not None and b.shape != (n_out,):
+        raise ShapeError(f"linear: bias must have shape ({n_out},), got {b.shape}")
+    x2 = x.data.reshape(-1, n_in)
+    out2 = x2 @ w.data
+    if b is not None:
+        out2 += b.data
+    out_shape = x.shape[:-1] + (n_out,)
+
+    def backward(g: np.ndarray) -> None:
+        g2 = g.reshape(-1, n_out)
+        if x.requires_grad:
+            _accumulate(x, (g2 @ w.data.T).reshape(x.shape), fresh=True)
+        if w.requires_grad:
+            _accumulate(w, x2.T @ g2, fresh=True)
+        if b is not None and b.requires_grad:
+            _accumulate(b, g2.sum(axis=0), fresh=True)
+
+    inputs = (x, w) if b is None else (x, w, b)
+    return _record("linear", inputs, out2.reshape(out_shape), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` is ``[B, Lq, D]`` and ``k``, ``v`` are ``[B, Lk, D]``, each holding
+    ``heads`` heads of width ``d_k = D / heads`` side by side. Per head,
+    ``P = softmax(q k^T / sqrt(d_k))`` and the context is ``P v``; the heads
+    are merged back into ``[B, Lq, D]``. The 1/sqrt(d_k) is folded into the
+    L x d_k query rather than the L x L scores, and the backward keeps only
+    ``P`` of the L x L intermediates. Returns the context and ``P``
+    (``[B, heads, Lq, Lk]``), which the backward shares: do not modify it.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise ShapeError(f"attention: need 3-d q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    b, lq, d = q.shape
+    lk = k.shape[1]
+    if k.shape != (b, lk, d) or v.shape != k.shape:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} disagree")
+    if d % heads != 0:
+        raise ShapeError(f"attention: {heads} heads do not divide width {d}")
+    d_k = d // heads
+    s = 1.0 / math.sqrt(d_k)
+
+    def split(a: np.ndarray, length: int) -> np.ndarray:
+        return a.reshape(b, length, heads, d_k).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray, length: int) -> np.ndarray:
+        return a.transpose(0, 2, 1, 3).reshape(b, length, d)
+
+    qs = np.multiply(split(q.data, lq), s, order="C")
+    kh = np.ascontiguousarray(split(k.data, lk))
+    vh = np.ascontiguousarray(split(v.data, lk))
+    # P is held transposed, keys down the rows: numpy reduces over a leading
+    # axis with whole contiguous rows per step, several times faster than
+    # over the short last axis.
+    pt = kh @ qs.swapaxes(-1, -2)
+    pt -= pt.max(axis=-2, keepdims=True)
+    np.exp(pt, out=pt)
+    pt /= pt.sum(axis=-2, keepdims=True)
+    out_data = merge(pt.swapaxes(-1, -2) @ vh, lq)
+
+    def backward(g: np.ndarray) -> None:
+        gh = split(g, lq)
+        if v.requires_grad:
+            _accumulate(v, merge(pt @ gh, lk), fresh=True)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dst = vh @ gh.swapaxes(-1, -2)
+        dst -= np.einsum("...kq,...kq->...q", dst, pt)[..., None, :]
+        dst *= pt
+        if q.requires_grad:
+            dq = dst.swapaxes(-1, -2) @ kh
+            dq *= s
+            _accumulate(q, merge(dq, lq), fresh=True)
+        if k.requires_grad:
+            _accumulate(k, merge(dst @ qs, lk), fresh=True)
+
+    return _record("attention", (q, k, v), out_data, backward), pt.swapaxes(-1, -2)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

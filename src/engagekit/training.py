@@ -174,7 +174,7 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
 
     Checkpoints store the EMA weights, i.e. exactly what validation scored.
     Raises DivergenceError with the epoch/batch position if the loss or any
-    gradient goes non-finite.
+    gradient goes non-finite, or the loss is 0/0 (a degenerate CCC batch).
     """
     labeled = [s for s in train_sessions if s.roles["target"].labels is not None]
     if not labeled:
@@ -211,7 +211,10 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
             chosen = [pairs[j] for j in order[lo:lo + cfg.batch_size]]
             batch = build_mixed_batch((labeled[si], seg) for si, seg in chosen)
             model.zero_grad()
-            loss = _batch_loss(model, batch, cfg.loss, cfg.ccc_per_window, dropout_rng)
+            try:
+                loss = _batch_loss(model, batch, cfg.loss, cfg.ccc_per_window, dropout_rng)
+            except T.NonFiniteError as exc:
+                raise DivergenceError(f"{exc} at epoch {epoch}, batch {bi}") from exc
             if not np.isfinite(loss.data):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {bi}")
             T.backward(loss)

@@ -220,6 +220,7 @@ def test_gradcheck_cli_passes(capsys):
     out = capsys.readouterr().out
     assert "gradcheck suite passed" in out
     assert "full_model" in out
+    assert "attention" in out
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -5,6 +5,7 @@ import pytest
 
 import engagekit.model
 import engagekit.tensor as T
+from engagekit.cli import resolve_configs
 from engagekit.data import SynthConfig, synth_session
 from engagekit.metrics import evaluate_sessions
 from engagekit.model import (ModelConfig, EngagementModel, BaselineModel, GroupFusion,
@@ -201,6 +202,20 @@ def test_every_parameter_gets_gradient(rng):
         dead = [n for n, p in model.named_parameters()
                 if p.grad is None or not np.any(p.grad)]
         assert dead == [], f"dead parameters in {arch}: {dead}"
+
+
+def test_desk_training_forward_tape_node_count(rng):
+    # Pins the fused graph: 16 attention blocks of one node each, every
+    # linear layer one node. A change that splits them again moves this.
+    model_cfg, _ = resolve_configs("desk", None, {})
+    model = EngagementModel(model_cfg, seed=0)
+    target = random_bundle(model_cfg, model_cfg.window_len, rng, batch=2)
+    partner = random_bundle(model_cfg, model_cfg.window_len, rng, batch=2)
+    T.reset_tape()
+    model.forward(target, partner, train=True, rng=np.random.default_rng(1))
+    nodes = T.tape_size()
+    T.reset_tape()
+    assert nodes == 254
 
 
 # ---------------------------------------------------------------- baseline

@@ -111,6 +111,18 @@ def test_attention_grad_fd():
     assert grad_check(f, params, max_coords_per_param=6) < 1e-5
 
 
+@pytest.mark.parametrize("q_shape,kv_shape,weights_shape", [
+    ((3, 6, 8), (3, 9, 8), (3, 4, 6, 9)),
+    ((6, 8), (9, 8), (1, 4, 6, 9)),
+])
+def test_attention_last_weights_shape(q_shape, kv_shape, weights_shape):
+    rng = np.random.default_rng(5)
+    mha = MultiHeadAttention(8, 4, 0.0, rng=6)
+    mha(T.constant(rng.standard_normal(q_shape)), T.constant(rng.standard_normal(kv_shape)),
+        keep_weights=True)
+    assert mha.last_weights.shape == weights_shape
+
+
 def test_attention_head_divisibility_enforced():
     with pytest.raises(ValueError):
         MultiHeadAttention(10, 4, 0.0, rng=0)
@@ -205,6 +217,15 @@ def test_dropout_statistics():
     out = dropout(x, 0.2, True, np.random.default_rng(10)).data
     assert abs(out.mean() - 1.0) < 0.02
     assert abs((out == 0).mean() - 0.2) < 0.01
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_mask_is_drawn_in_input_dtype(dtype):
+    x = Tensor(np.ones((4, 6), dtype=dtype), requires_grad=True)
+    T.backward(T.tensor_sum(dropout(x, 0.25, True, np.random.default_rng(11))))
+    draws = np.random.default_rng(11).random((4, 6), dtype=dtype)
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad, (draws >= 0.25).astype(dtype) / dtype(0.75))
 
 
 def test_dropout_rejects_bad_rate():

@@ -55,6 +55,99 @@ def test_matmul_batched_broadcast_grad():
     assert err < 1e-6
 
 
+# ---------------------------------------------------------------- linear
+
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_linear_grad_3d(with_bias, x_grad):
+    rng = np.random.default_rng(12)
+    x = t(rng.standard_normal((2, 5, 4)), grad=x_grad)
+    w = t(rng.standard_normal((4, 3)))
+    b = t(rng.standard_normal(3)) if with_bias else None
+    c = T.constant(rng.standard_normal((2, 5, 3)))
+    params = [("w", w)] + ([("b", b)] if with_bias else []) + ([("x", x)] if x_grad else [])
+    err = grad_check(lambda: T.tensor_sum(T.mul(T.linear(x, w, b), c)), params)
+    assert err < 1e-6
+    if not x_grad:
+        assert x.grad is None
+
+
+def test_linear_matches_matmul_add():
+    rng = np.random.default_rng(13)
+    x = t(rng.standard_normal((3, 7, 5)), grad=False)
+    w = t(rng.standard_normal((5, 4)), grad=False)
+    b = t(rng.standard_normal(4), grad=False)
+    np.testing.assert_allclose(T.linear(x, w, b).data, T.add(T.matmul(x, w), b).data,
+                               rtol=1e-12)
+
+
+# ---------------------------------------------------------------- attention
+
+def composed_attention(q, k, v, heads):
+    """The unfused reference: split heads, scaled scores, softmax, context."""
+    b, lq, d = q.shape
+    lk = k.shape[1]
+    d_k = d // heads
+
+    def split(a, length):
+        return T.transpose(T.reshape(a, (b, length, heads, d_k)), (0, 2, 1, 3))
+
+    scores = T.scale(T.matmul(split(q, lq), T.transpose(split(k, lk), (0, 1, 3, 2))),
+                     1.0 / math.sqrt(d_k))
+    weights = T.softmax(scores, axis=-1)
+    ctx = T.transpose(T.matmul(weights, split(v, lk)), (0, 2, 1, 3))
+    return T.reshape(ctx, (b, lq, d)), weights.data
+
+
+def test_attention_matches_composed_chain():
+    rng = np.random.default_rng(14)
+    q = t(rng.standard_normal((2, 3, 8)))
+    k = t(rng.standard_normal((2, 5, 8)))
+    v = t(rng.standard_normal((2, 5, 8)))
+    c = rng.standard_normal((2, 3, 8))
+    results = []
+    for op in (T.attention, composed_attention):
+        out, weights = op(q, k, v, 2)
+        backward(T.tensor_sum(T.mul(out, T.constant(c))))
+        results.append((out.data, weights, q.grad, k.grad, v.grad))
+        for x in (q, k, v):
+            x.zero_grad()
+    fused, composed = results
+    assert fused[1].shape == (2, 2, 3, 5)
+    for a, b in zip(fused[:2], composed[:2]):
+        np.testing.assert_allclose(a, b, rtol=1e-12)
+    for a, b in zip(fused[2:], composed[2:]):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
+
+
+def test_attention_self_grad():
+    rng = np.random.default_rng(15)
+    x = t(rng.standard_normal((2, 6, 8)))
+    c = T.constant(rng.standard_normal((2, 6, 8)))
+    err = grad_check(lambda: T.tensor_sum(T.mul(T.attention(x, x, x, 4)[0], c)), [("x", x)],
+                     max_coords_per_param=32)
+    assert err < 1e-6
+
+
+def test_attention_cross_grad_batched():
+    rng = np.random.default_rng(16)
+    q = t(rng.standard_normal((3, 4, 6)))
+    k = t(rng.standard_normal((3, 7, 6)))
+    v = t(rng.standard_normal((3, 7, 6)))
+    c = T.constant(rng.standard_normal((3, 4, 6)))
+    err = grad_check(lambda: T.tensor_sum(T.mul(T.attention(q, k, v, 2)[0], c)),
+                     [("q", q), ("k", k), ("v", v)], max_coords_per_param=32)
+    assert err < 1e-6
+
+
+def test_attention_shape_errors():
+    x = t(np.zeros((2, 3, 8)))
+    with pytest.raises(T.ShapeError):
+        T.attention(x, t(np.zeros((2, 3, 6))), t(np.zeros((2, 3, 6))), 2)
+    with pytest.raises(T.ShapeError):
+        T.attention(x, x, x, 3)
+
+
 # ---------------------------------------------------------------- softmax
 
 def test_softmax_symmetry_and_overflow():

@@ -5,6 +5,7 @@ import engagekit.tensor as T
 from engagekit.data import SynthConfig, synth_session
 from engagekit.metrics import evaluate_sessions, predict_session
 from engagekit.model import EngagementModel, load_checkpoint
+from engagekit.nn import Module
 from engagekit.segmentation import make_segments, build_window_batch
 from engagekit.tensor import Tensor
 from engagekit.training import (Adam, EmaState, TrainConfig, DivergenceError,
@@ -188,6 +189,29 @@ def test_train_aborts_on_divergence():
     sessions[0].roles["target"].streams["clip"][:] = np.nan
     with pytest.raises(DivergenceError, match="epoch 0, batch 0"):
         train(model, sessions, None, desk_train_cfg(epochs=1), quiet=True)
+
+
+class ConstantModel(Module):
+    """Predicts one trainable level at every frame, whatever the input."""
+
+    core_len, context_len = 8, 4
+
+    def __init__(self, level: float):
+        self.level = Tensor(np.array([level]), requires_grad=True)
+
+    def forward(self, target, partner=None, train=False, rng=None):
+        frames = target["clip"].shape[:-1]
+        return T.add(T.constant(np.zeros(frames + (1,))), self.level)
+
+
+def test_train_degenerate_ccc_batch_is_divergence():
+    # Constant predictions on constant labels of the same value make the
+    # CCC loss 0/0: a numerical failure, reported with its position.
+    sessions = tiny_sessions(1)
+    sessions[0].roles["target"].labels[:] = 0.0
+    with pytest.raises(DivergenceError, match="degenerate batch.*at epoch 0, batch 0"):
+        train(ConstantModel(0.0), sessions, None, desk_train_cfg(loss="ccc", epochs=1),
+              quiet=True)
 
 
 def test_train_requires_labeled_sessions():
