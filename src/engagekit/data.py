@@ -146,17 +146,46 @@ def save_session(directory, record: SessionRecord) -> None:
 
 
 def load_session(directory) -> SessionRecord:
+    """Read one session directory. The manifest is not trusted: it must be a
+    JSON object of this schema version with ``session_id``, an integer
+    ``num_frames``, ``feature_dims`` giving a positive integer for every
+    stream, a ``roles`` list of names that includes ``target`` and, if
+    present, a positive ``frame_rate_hz``. Any breach, like any bad stream
+    file, raises DataFormatError naming the directory."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise DataFormatError(f"{directory}: no manifest.json")
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+    try:
+        with open(manifest_path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # also raised for bytes that are not UTF-8
+        raise DataFormatError(f"{directory}: manifest.json is not UTF-8 JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{directory}: manifest.json is not a JSON object")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise DataFormatError(f"{directory}: unsupported schema_version "
                               f"{manifest.get('schema_version')}")
-    num_frames = int(manifest["num_frames"])
-    dims = manifest["feature_dims"]
+    missing = [key for key in ("session_id", "num_frames", "feature_dims", "roles")
+               if key not in manifest]
+    if missing:
+        raise DataFormatError(f"{directory}: manifest.json lacks {', '.join(missing)}")
+    num_frames, dims = manifest["num_frames"], manifest["feature_dims"]
+    if not isinstance(num_frames, int) or num_frames < 0:
+        raise DataFormatError(f"{directory}: manifest num_frames must be a non-negative "
+                              f"integer, got {num_frames!r}")
+    if not (isinstance(dims, dict) and set(STREAMS) <= dims.keys()
+            and all(isinstance(dims[name], int) and dims[name] >= 1 for name in STREAMS)):
+        raise DataFormatError(f"{directory}: manifest feature_dims must give a positive "
+                              f"integer for each of the streams {', '.join(STREAMS)}")
+    if (not isinstance(manifest["roles"], list) or "target" not in manifest["roles"]
+            or not all(isinstance(role, str) for role in manifest["roles"])):
+        raise DataFormatError(f"{directory}: manifest roles must be a list of names "
+                              f"that includes 'target'")
+    frame_rate = manifest.get("frame_rate_hz", 25.0)
+    if not isinstance(frame_rate, (int, float)) or not frame_rate > 0:
+        raise DataFormatError(f"{directory}: manifest frame_rate_hz must be a positive "
+                              f"number, got {frame_rate!r}")
     roles = {}
     for role in manifest["roles"]:
         role_dir = directory / role
@@ -166,7 +195,7 @@ def load_session(directory) -> SessionRecord:
             if not path.exists():
                 raise DataFormatError(f"{directory}: missing stream file {role}/{name}.datf")
             arr = read_matrix(path)
-            if arr.shape[1] != int(dims[name]):
+            if arr.shape[1] != dims[name]:
                 raise DataFormatError(f"{directory}: stream '{role}/{name}' has dim "
                                       f"{arr.shape[1]}, manifest says {dims[name]}")
             streams[name] = arr
@@ -179,7 +208,7 @@ def load_session(directory) -> SessionRecord:
         session_id=manifest["session_id"],
         num_frames=num_frames,
         roles=roles,
-        frame_rate_hz=float(manifest.get("frame_rate_hz", 25.0)),
+        frame_rate_hz=float(frame_rate),
     )
     record.validate()
     return record

@@ -76,30 +76,15 @@ def ccc(x, y) -> float:
     return float(2.0 * cov / denom)
 
 
-def ccc_loss(pred, label, mask=None, per_window: bool = False) -> Tensor:
+def ccc_loss(pred, label, mask=None) -> Tensor:
     """1 - CCC over the masked frames, differentiable in `pred`.
 
-    By default all masked frames of the batch are pooled into one pair of
-    series; `per_window=True` instead averages per-window losses over the
-    leading axis (each window needs >= 2 masked frames). Fewer masked frames
-    raise ``ValueError``; a degenerate batch, where both series are constant
-    with equal means and CCC is 0/0, raises ``NonFiniteError``.
+    All masked frames of the batch are pooled into one pair of series. Fewer
+    than 2 masked frames raise ``ValueError``; a degenerate batch, where both
+    series are constant with equal means and CCC is 0/0, raises
+    ``NonFiniteError``.
     """
     pred = T.as_tensor(pred)
-    if per_window:
-        if pred.ndim < 2:
-            raise T.ShapeError("per-window ccc_loss needs a batch dimension")
-        rows = pred.shape[0]
-        losses = []
-        for i in range(rows):
-            row_mask = None if mask is None else np.asarray(mask)[i]
-            losses.append(ccc_loss(T.narrow(pred, 0, i, 1), np.asarray(label)[i][None],
-                                   None if row_mask is None else row_mask[None]))
-        total = losses[0]
-        for piece in losses[1:]:
-            total = T.add(total, piece)
-        return T.scale(total, 1.0 / rows)
-
     label, m, count = _masked_pair(pred, label, mask)
     if count < 2:
         raise ValueError(f"ccc_loss: need >= 2 masked frames, got {int(count)}")

@@ -76,6 +76,8 @@ class ModelConfig:
 
     def validate(self) -> None:
         d, h = self.model_dim, self.heads
+        if d < 1 or h < 1:
+            raise ValueError(f"need model_dim >= 1 and heads >= 1, got {d} and {h}")
         for width in (d, 2 * d, 3 * d):
             if width % h != 0:
                 raise ValueError(f"heads ({h}) must divide all pipeline widths, "

@@ -4,10 +4,12 @@ Covers exactly the operations the engagement model needs: the two fused
 nodes the network is built from, ``linear`` (an affine map over any leading
 dims as one gemm) and ``attention`` (multi-head scaled dot-product attention,
 heads split and merged inside the op); matrix products with broadcastable
-batch dims, softmax, layer norm, pointwise ops, concat and narrow slicing,
-reshape/transpose, and scalar reductions. A thread-local tape records the
-forward pass in creation order (which is already a topological order);
-``backward`` walks it once in reverse and then clears it.
+batch dims, softmax, layer norm, pointwise ops, concat, reshape/transpose,
+and scalar reductions. A thread-local tape records the forward pass in
+creation order (which is already a topological order) as ``(output,
+backward_fn)`` pairs; ``backward`` consumes it, popping one pair at a time
+and releasing that output's gradient, so activations and intermediate
+gradients are freed during the sweep and only leaf tensors keep ``.grad``.
 
 Float64 is the default dtype so finite-difference checks are meaningful;
 float32 arrays pass through unchanged for training throughput.
@@ -40,7 +42,7 @@ class GradCheckError(ArithmeticError):
 
 class _TapeState(threading.local):
     def __init__(self):
-        self.nodes: list[TapeNode] = []
+        self.nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self.enabled = True
         self.nan_checks = False
 
@@ -78,7 +80,7 @@ class no_grad:
 class Tensor:
     """Dense n-dimensional float array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -89,7 +91,6 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.is_leaf = True
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,25 +116,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-class TapeNode:
-    """One recorded forward op: inputs, output, and its backward closure."""
-
-    __slots__ = ("op", "inputs", "out", "backward_fn")
-
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], out: Tensor,
-                 backward_fn: Callable[[np.ndarray], None]):
-        self.op = op
-        self.inputs = inputs
-        self.out = out
-        self.backward_fn = backward_fn
-
-
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    # `fresh` marks arrays the backward fn owns exclusively, safe to adopt.
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # Ownership rule: `backward` releases each output's gradient before its
+    # backward_fn runs, so a backward_fn owns `g` and every array it derives
+    # from it. `t` adopts what it is handed and may later add into it in
+    # place; a backward_fn therefore hands one buffer (or overlapping views
+    # of it) to at most one input, and never a read-only array.
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g if fresh else g.copy()
+        t.grad = g
     else:
         t.grad += g
 
@@ -145,13 +137,9 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    if _STATE.enabled and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out.is_leaf = False
-        _STATE.nodes.append(TapeNode(op, inputs, out, backward_fn))
-    else:
-        out.requires_grad = False
-        out.is_leaf = True
+    out.requires_grad = _STATE.enabled and any(t.requires_grad for t in inputs)
+    if out.requires_grad:
+        _STATE.nodes.append((out, backward_fn))
     return out
 
 
@@ -197,10 +185,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(da, a.shape), fresh=True)
+            _accumulate(a, _unbroadcast(da, a.shape))
         if b.requires_grad:
             db = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(db, b.shape), fresh=True)
+            _accumulate(b, _unbroadcast(db, b.shape))
 
     return _record("matmul", (a, b), out_data, backward)
 
@@ -226,11 +214,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(-1, n_out)
         if x.requires_grad:
-            _accumulate(x, (g2 @ w.data.T).reshape(x.shape), fresh=True)
+            _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
         if w.requires_grad:
-            _accumulate(w, x2.T @ g2, fresh=True)
+            _accumulate(w, x2.T @ g2)
         if b is not None and b.requires_grad:
-            _accumulate(b, g2.sum(axis=0), fresh=True)
+            _accumulate(b, g2.sum(axis=0))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _record("linear", inputs, out2.reshape(out_shape), backward)
@@ -279,7 +267,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     def backward(g: np.ndarray) -> None:
         gh = split(g, lq)
         if v.requires_grad:
-            _accumulate(v, merge(pt @ gh, lk), fresh=True)
+            _accumulate(v, merge(pt @ gh, lk))
         if not (q.requires_grad or k.requires_grad):
             return
         dst = vh @ gh.swapaxes(-1, -2)
@@ -288,9 +276,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         if q.requires_grad:
             dq = dst.swapaxes(-1, -2) @ kh
             dq *= s
-            _accumulate(q, merge(dq, lq), fresh=True)
+            _accumulate(q, merge(dq, lq))
         if k.requires_grad:
-            _accumulate(k, merge(dst @ qs, lk), fresh=True)
+            _accumulate(k, merge(dst @ qs, lk))
 
     return _record("attention", (q, k, v), out_data, backward), pt.swapaxes(-1, -2)
 
@@ -301,9 +289,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape), fresh=g.shape != a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape), fresh=g.shape != b.shape)
+            gb = _unbroadcast(g, b.shape)
+            # With equal shapes `a` may have adopted `g` itself.
+            _accumulate(b, g.copy() if gb is g and a.grad is g else gb)
 
     return _record("add", (a, b), out_data, backward)
 
@@ -314,9 +304,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape), fresh=g.shape != a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape), fresh=True)
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _record("sub", (a, b), out_data, backward)
 
@@ -327,9 +317,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _record("mul", (a, b), out_data, backward)
 
@@ -340,10 +330,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape), fresh=True)
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
             db = -g * a.data / (b.data * b.data)
-            _accumulate(b, _unbroadcast(db, b.shape), fresh=True)
+            _accumulate(b, _unbroadcast(db, b.shape))
 
     return _record("div", (a, b), out_data, backward)
 
@@ -353,7 +343,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     out_data = a.data * s
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * s, fresh=True)
+        _accumulate(a, g * s)
 
     return _record("scale", (a,), out_data, backward)
 
@@ -383,7 +373,7 @@ def gelu(a: Tensor) -> Tensor:
         d_inner = _GELU_C * (1.0 + 0.134145 * x2)
         local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         local *= g
-        _accumulate(a, local, fresh=True)
+        _accumulate(a, local)
 
     return _record("gelu", (a,), out_data, backward)
 
@@ -396,7 +386,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g: np.ndarray) -> None:
         dx = g - np.sum(g * out_data, axis=axis, keepdims=True)
         dx *= out_data
-        _accumulate(a, dx, fresh=True)
+        _accumulate(a, dx)
 
     return _record("softmax", (a,), out_data, backward)
 
@@ -416,14 +406,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def backward(g: np.ndarray) -> None:
         if gamma.requires_grad:
-            _accumulate(gamma, _unbroadcast(g * xhat, gamma.shape), fresh=True)
+            _accumulate(gamma, _unbroadcast(g * xhat, gamma.shape))
         if beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, beta.shape), fresh=True)
+            _accumulate(beta, _unbroadcast(g, beta.shape))
         if x.requires_grad:
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv_std * (dxhat - m1 - xhat * m2), fresh=True)
+            _accumulate(x, inv_std * (dxhat - m1 - xhat * m2))
 
     return _record("layer_norm", (x, gamma, beta), out_data, backward)
 
@@ -451,26 +441,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _record("concat", tuple(tensors), out_data, backward)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; gradient routes back to the slice."""
-    ax = axis if axis >= 0 else a.ndim + axis
-    if start < 0 or start + length > a.shape[ax]:
-        raise ShapeError(f"narrow: slice [{start}, {start + length}) exceeds axis {axis} "
-                         f"of shape {a.shape}")
-    idx = [slice(None)] * a.ndim
-    idx[ax] = slice(start, start + length)
-    idx = tuple(idx)
-    out_data = a.data[idx].copy()
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            _accumulate(a, full, fresh=True)
-
-    return _record("narrow", (a,), out_data, backward)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     out_data = a.data.reshape(tuple(shape))
 
@@ -495,7 +465,7 @@ def tensor_sum(a: Tensor) -> Tensor:
     out_data = np.asarray(a.data.sum())
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, np.broadcast_to(g, a.shape))
+        _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return _record("sum", (a,), out_data, backward)
 
@@ -505,10 +475,12 @@ def mean(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-sweep the tape from a scalar loss; clears the tape after.
+    """Reverse-sweep the tape from a scalar loss, consuming it.
 
     Gradients accumulate additively into every tensor reached, so a tensor
-    used in several places receives the sum of all path contributions.
+    used in several places receives the sum of all path contributions. Each
+    op output's gradient is released as its node is popped, so afterwards
+    only leaf tensors hold ``.grad`` and the tape is empty.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -521,10 +493,11 @@ def backward(loss: Tensor) -> None:
     if not np.all(np.isfinite(loss.data)):
         raise NonFiniteError("backward: loss is not finite")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(nodes):
-        if node.out.grad is not None:
-            node.backward_fn(node.out.grad)
-    _STATE.nodes = []
+    while nodes:
+        out, backward_fn = nodes.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            backward_fn(g)
 
 
 def grad_check(f: Callable[[], Tensor], params, h: float = 1e-5,

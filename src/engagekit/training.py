@@ -39,7 +39,6 @@ class TrainConfig:
     ema_decay: float = 0.999
     seed: int = 0
     loss: str = "mse"                    # "mse" | "ccc"
-    ccc_per_window: bool = False
     grad_clip: float = 0.0               # 0 disables
     weight_decay: float = 0.0            # 0 disables
     lr_schedule: str = "none"            # "none" | "cosine" (per-epoch decay)
@@ -48,6 +47,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} "
+                             f"and {self.beta2}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must be in [0, 1)")
         if self.loss not in ("mse", "ccc"):
@@ -159,13 +163,13 @@ class TrainResult:
                 writer.writerow([row["epoch"], repr(row["train_loss"]), repr(row["val_ccc"])])
 
 
-def _batch_loss(model, batch, loss_kind: str, ccc_per_window: bool, rng):
+def _batch_loss(model, batch, loss_kind: str, rng):
     pred = model.forward(batch.target, batch.partner, train=True, rng=rng)
     pred = T.reshape(pred, pred.shape[:-1])
     mask = batch.mask.astype(pred.data.dtype)
     if loss_kind == "mse":
         return mse(pred, batch.labels, mask)
-    return ccc_loss(pred, batch.labels, mask, per_window=ccc_per_window)
+    return ccc_loss(pred, batch.labels, mask)
 
 
 def train(model, train_sessions, val_sessions, cfg: TrainConfig,
@@ -212,7 +216,7 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
             batch = build_mixed_batch((labeled[si], seg) for si, seg in chosen)
             model.zero_grad()
             try:
-                loss = _batch_loss(model, batch, cfg.loss, cfg.ccc_per_window, dropout_rng)
+                loss = _batch_loss(model, batch, cfg.loss, dropout_rng)
             except T.NonFiniteError as exc:
                 raise DivergenceError(f"{exc} at epoch {epoch}, batch {bi}") from exc
             if not np.isfinite(loss.data):

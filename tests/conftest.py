@@ -35,11 +35,13 @@ def random_bundle(cfg: ModelConfig, length: int, rng: np.random.Generator,
 
 
 def damaged_checkpoint(path, model, version: int | None = None,
-                       drop: str | None = None, edit=None, keep: int | None = None) -> None:
+                       drop: str | None = None, edit=None, keep: int | None = None,
+                       patch=None) -> None:
     """Save ``model`` to ``path``, then overwrite the header's version field,
     remove one parameter's entry from the manifest, replace the manifest by
-    ``edit(manifest)`` and/or cut the file to its first ``keep`` bytes. The
-    blob is left as it was written."""
+    ``edit(manifest)``, cut the file to its first ``keep`` bytes and/or
+    replace the resulting bytes by ``patch(raw)``. The blob is left as it
+    was written."""
     save_checkpoint(path, model)
     raw = path.read_bytes()
     (mlen,) = struct.unpack_from("<Q", raw, 8)
@@ -52,7 +54,8 @@ def damaged_checkpoint(path, model, version: int | None = None,
     head = raw[:8] if version is None else raw[:4] + struct.pack("<I", version)
     damaged = (head + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes
                + raw[16 + mlen:])
-    path.write_bytes(damaged[:keep])
+    damaged = damaged[:keep]
+    path.write_bytes(damaged if patch is None else patch(damaged))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,14 @@ def _set_shape(index: int, shape: list):
     pytest.param({"dtype": "float32",
                   "edit": lambda m: {**m, "config": {**m["config"], "dtype": "float64"}}},
                  "float64 values", id="dtype_mismatch"),
+    pytest.param({"edit": lambda m: {**m, "config": {**m["config"], "heads": 0}}},
+                 "heads >= 1", id="zero_heads"),
+    pytest.param({"patch": lambda raw: b"XATC" + raw[4:]}, "bad checkpoint magic",
+                 id="bad_magic"),
+    pytest.param({"patch": lambda raw: raw[:8] + struct.pack("<Q", len(raw)) + raw[16:]},
+                 "truncated manifest", id="manifest_past_end"),
+    pytest.param({"patch": lambda raw: raw[:16] + b"\xff" + raw[17:]}, "not UTF-8 JSON",
+                 id="manifest_not_utf8"),
 ])
 def test_eval_refuses_damaged_checkpoint(tmp_path, capsys, damage, named):
     _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
@@ -131,6 +140,62 @@ def test_eval_refuses_damaged_checkpoint(tmp_path, capsys, damage, named):
     assert code == 2
     err = capsys.readouterr().err
     assert "error[data]" in err and "damaged.ckpt" in err and named in err
+
+
+def _manifest_without(key: str):
+    """Session-manifest edit that drops ``key``."""
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("damage, named", [
+    pytest.param(_manifest_without("num_frames"), "num_frames", id="no_num_frames"),
+    pytest.param(_manifest_without("feature_dims"), "feature_dims", id="no_feature_dims"),
+    pytest.param(_manifest_without("roles"), "roles", id="no_roles"),
+    pytest.param(_manifest_without("session_id"), "session_id", id="no_session_id"),
+    pytest.param(lambda m: [m], "JSON object", id="not_object"),
+    pytest.param(b"{not json", "not UTF-8 JSON", id="not_json"),
+    pytest.param(b"\xff\xfe{}", "not UTF-8 JSON", id="not_utf8"),
+    pytest.param(lambda m: {**m, "num_frames": None}, "num_frames", id="num_frames_null"),
+    pytest.param(lambda m: {**m, "feature_dims": {"clip": 6}}, "feature_dims",
+                 id="streams_missing"),
+    pytest.param(lambda m: {**m, "feature_dims": {**m["feature_dims"], "clip": None}},
+                 "feature_dims", id="stream_dim_null"),
+    pytest.param(lambda m: {**m, "frame_rate_hz": None}, "frame_rate_hz",
+                 id="frame_rate_null"),
+    pytest.param(lambda m: {**m, "roles": "target"}, "roles", id="roles_not_list"),
+    pytest.param(lambda m: {**m, "roles": ["partner"]}, "'target'", id="no_target_role"),
+])
+def test_eval_refuses_damaged_session_manifest(tmp_path, capsys, damage, named):
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    (session_dir,) = sorted(val_dir.glob("session_*"))
+    path = session_dir / "manifest.json"
+    if callable(damage):
+        damage = json.dumps(damage(json.loads(path.read_text()))).encode("utf-8")
+    path.write_bytes(damage)
+    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", "oracle"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[data]" in err and str(session_dir) in err and named in err
+
+
+@pytest.mark.parametrize("line, named", [
+    pytest.param("heads = 0", "heads >= 1", id="heads"),
+    pytest.param("model_dim = 0", "model_dim >= 1", id="model_dim"),
+    pytest.param("beta1 = 1.0", "beta1", id="beta1"),
+    pytest.param("beta2 = 1.0", "beta2", id="beta2"),
+    pytest.param("eps = 0", "eps", id="eps"),
+])
+def test_config_out_of_range_is_usage_error(tmp_path, capsys, line, named):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    code = dispatch(["train", "--data", str(tmp_path / "absent"), "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and named in err
 
 
 def test_gradcheck_breach_is_numeric_error(monkeypatch, capsys):

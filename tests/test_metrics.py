@@ -142,16 +142,6 @@ def test_ccc_loss_masked_matches_subset(rng):
     assert masked == pytest.approx(subset, abs=1e-12)
 
 
-def test_ccc_loss_per_window_mode(rng):
-    pred = rng.standard_normal((3, 20))
-    label = rng.uniform(0, 1, (3, 20))
-    pooled = ccc_loss(T.constant(pred), label).item()
-    per_window = ccc_loss(T.constant(pred), label, per_window=True).item()
-    rows = [ccc_loss(T.constant(pred[i]), label[i]).item() for i in range(3)]
-    assert per_window == pytest.approx(np.mean(rows), abs=1e-12)
-    assert per_window != pytest.approx(pooled, abs=1e-6)
-
-
 def test_ccc_loss_too_few_frames(rng):
     with pytest.raises(ValueError):
         ccc_loss(T.constant(np.ones(4)), np.ones(4), np.array([1.0, 0, 0, 0]))

@@ -7,7 +7,7 @@ import engagekit.model
 import engagekit.tensor as T
 from engagekit.cli import resolve_configs
 from engagekit.data import SynthConfig, synth_session
-from engagekit.metrics import evaluate_sessions
+from engagekit.metrics import evaluate_sessions, mse
 from engagekit.model import (ModelConfig, EngagementModel, BaselineModel, GroupFusion,
                              PartnerCrossLayer, param_count, save_checkpoint,
                              load_checkpoint, STREAMS, DEFAULT_FEATURE_DIMS)
@@ -216,6 +216,25 @@ def test_desk_training_forward_tape_node_count(rng):
     nodes = T.tape_size()
     T.reset_tape()
     assert nodes == 254
+
+
+def test_desk_training_step_leaves_only_owned_leaf_grads(rng):
+    # backward consumes the tape: op outputs drop their gradients, and every
+    # parameter owns a writeable gradient that no other parameter shares.
+    model_cfg, _ = resolve_configs("desk", None, {})
+    model = EngagementModel(model_cfg, seed=0)
+    target = random_bundle(model_cfg, model_cfg.window_len, rng, batch=2)
+    partner = random_bundle(model_cfg, model_cfg.window_len, rng, batch=2)
+    labels = rng.uniform(0, 1, (2, model_cfg.window_len))
+    T.reset_tape()
+    pred = model.forward(target, partner, train=True, rng=np.random.default_rng(1))
+    T.backward(mse(T.reshape(pred, pred.shape[:-1]), labels))
+    assert T.tape_size() == 0
+    assert pred.grad is None
+    grads = [p.grad for _, p in model.named_parameters()]
+    assert all(g is not None and g.flags.writeable for g in grads)
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
 
 
 # ---------------------------------------------------------------- baseline

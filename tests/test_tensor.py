@@ -245,7 +245,7 @@ def test_div_grads():
     assert err < 1e-6
 
 
-# ---------------------------------------------------------------- concat / narrow
+# ---------------------------------------------------------------- concat
 
 def test_concat_round_trip_exact():
     rng = np.random.default_rng(9)
@@ -253,8 +253,8 @@ def test_concat_round_trip_exact():
     b = t(rng.standard_normal((4, 3)))
     out = T.concat([a, b], axis=-1)
     assert out.shape == (4, 5)
-    assert np.array_equal(T.narrow(out, 1, 0, 2).data, a.data)
-    assert np.array_equal(T.narrow(out, -1, 2, 3).data, b.data)
+    assert np.array_equal(out.data[:, :2], a.data)
+    assert np.array_equal(out.data[:, 2:], b.data)
 
 
 def test_concat_paper_scale_widths():
@@ -301,6 +301,37 @@ def test_backward_accumulates_over_reuse():
     y = T.add(T.mul(x, x), T.scale(x, 3.0))  # x^2 + 3x -> grad 2x + 3
     backward(T.tensor_sum(y))
     assert np.allclose(x.grad, [7.0])
+
+
+def test_backward_consumes_tape_and_keeps_only_leaf_grads():
+    x = t([1.0, -2.0])
+    h = T.scale(x, 3.0)
+    loss = T.tensor_sum(h)
+    backward(loss)
+    assert T.tape_size() == 0
+    assert h.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, [3.0, 3.0])
+    assert x.grad.flags.writeable
+
+
+@pytest.mark.parametrize("double", [lambda x: T.add(x, x), lambda x: T.concat([x, x])],
+                         ids=["add", "concat"])
+def test_one_tensor_used_twice_gets_both_gradients(double):
+    x = t([1.0, -2.0, 3.0])
+    backward(T.tensor_sum(double(x)))
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_add_gives_each_operand_its_own_gradient():
+    # `a` and `b` are distinct tensors of one shape, so add's gradient buffer
+    # must not reach both: `c`'s contribution lands in x.grad between b's and
+    # a's backward and would otherwise leak into what `a` hands on.
+    x = t([1.0, -2.0])
+    a = T.reshape(x, (2,))
+    c = T.shift(x, 0.0)
+    b = T.reshape(x, (2,))
+    backward(T.add(T.tensor_sum(T.add(a, b)), T.tensor_sum(c)))
+    assert np.array_equal(x.grad, [3.0, 3.0])
 
 
 def test_backward_rejects_non_scalar():

@@ -233,7 +233,7 @@ def test_loss_ignores_non_core_labels(rng):
 
     def loss_and_grads(batch):
         model.zero_grad()
-        loss = _batch_loss(model, batch, "mse", False, None)
+        loss = _batch_loss(model, batch, "mse", None)
         T.backward(loss)
         grads = {n: p.grad.copy() for n, p in model.named_parameters()}
         return float(loss.data), grads
