@@ -150,8 +150,11 @@ def print_resolved(tag: str, *configs) -> None:
 # ---------------------------------------------------------------- subcommands
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(sessions=args.sessions, num_frames=args.frames, seed=args.seed,
-                      quantize_levels=args.quantize_levels)
+    try:
+        cfg = SynthConfig(sessions=args.sessions, num_frames=args.frames, seed=args.seed,
+                          quantize_levels=args.quantize_levels)
+    except ValueError as exc:
+        raise CliUsageError(str(exc))
     print_resolved("synth", cfg)
     print(f"  start_index = {args.start_index}")
     paths = synth_corpus(cfg, args.out, start_index=args.start_index)
@@ -175,20 +178,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_predictor(ckpt: str, model_cfg: ModelConfig):
-    if ckpt == "oracle":
-        return LabelEchoPredictor(model_cfg.core_len, model_cfg.context_len)
-    model, _ = load_checkpoint(ckpt)
-    return model
-
-
 def cmd_eval(args) -> int:
-    model_cfg, _ = resolve_configs(args.preset, args.config, {})
+    if args.ckpt == "oracle":  # only the oracle takes its window geometry from flags
+        model_cfg, _ = resolve_configs(args.preset, args.config, {})
+        predictor = LabelEchoPredictor(model_cfg.core_len, model_cfg.context_len)
+    else:
+        predictor, _ = load_checkpoint(args.ckpt)
+        model_cfg = predictor.cfg
     print_resolved("eval", model_cfg)
     print(f"  ckpt = {args.ckpt}")
-    sessions = load_sessions(args.data)
-    predictor = _load_predictor(args.ckpt, model_cfg)
-    report = evaluate_sessions(predictor, sessions)
+    report = evaluate_sessions(predictor, load_sessions(args.data))
     for sid, value in zip(report.session_ids, report.ccc_per_session):
         print(f"session {sid}: ccc {value:.4f}")
     print(f"mean ccc: {report.mean_ccc:.4f}")
@@ -207,8 +206,11 @@ def cmd_predict(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     print_resolved("predict", model.cfg)
     print(f"  ckpt = {args.ckpt}")
-    (session,) = load_sessions(args.session)
-    series = predict_session(model, session)
+    sessions = load_sessions(args.session)
+    if len(sessions) != 1:
+        raise CliUsageError(f"--session {args.session} holds {len(sessions)} sessions; "
+                            f"name one session directory")
+    series = predict_session(model, sessions[0])
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["frame_index", "prediction"])
@@ -327,8 +329,6 @@ ABLATION_ARMS: dict[str, dict] = {
     "full": {"use_group_fusion": True, "use_partner_cross": True},
     "fusion_d2": {"use_group_fusion": True, "use_partner_cross": False,
                   "encoder_depth": 2},
-    "full_nopos": {"use_group_fusion": True, "use_partner_cross": True,
-                   "use_positional": False},
     "fused_baseline": {"arch": "baseline", "use_group_fusion": False,
                        "use_partner_cross": False},
 }
@@ -385,6 +385,8 @@ def cmd_ablate(args) -> int:
     if unknown:
         raise CliUsageError(f"unknown ablation arms {unknown} "
                             f"(have: {', '.join(ABLATION_ARMS)})")
+    if args.seeds < 1:
+        raise CliUsageError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = list(range(args.seed, args.seed + args.seeds))
     print_resolved("ablate", model_cfg, train_cfg)
     print(f"  arms = {','.join(arms)}")
@@ -437,8 +439,9 @@ def build_parser() -> Parser:
                    help="checkpoint file, or 'oracle' for the label-echo self-test")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--report-csv", dest="report_csv", help="write the CSV report here")
-    p.add_argument("--config")
-    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--config", help="window geometry for --ckpt oracle; a checkpoint "
+                                    "carries its own config")
+    p.add_argument("--preset", choices=sorted(PRESETS), help="as --config")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict", help="per-frame predictions for one session")

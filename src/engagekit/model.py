@@ -16,8 +16,8 @@ the prediction head and clamps to [0, 1] in eval mode. ``MODELS`` maps a
 checkpoint's arch name to its class.
 
 Parameters are named by attribute path (``nn.Module.named_parameters``), such
-as ``audio_cross.0.ffn.lin1.bias``; with shared stream encoders the partner's
-fusion is the target's, so its parameters appear once, as ``target_fusion.*``.
+as ``audio_cross.0.ffn.lin1.bias``; the target and the partner each have their
+own fusion, ``target_fusion.*`` and ``partner_fusion.*``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ DEFAULT_FEATURE_DIMS = {
 }
 
 CHECKPOINT_MAGIC = b"DATC"
-CHECKPOINT_VERSION = 3                      # v3: attribute-path names, blob in cfg.dtype
+CHECKPOINT_VERSION = 4                      # v4: the v3 layout, config without three removed knobs
 
 
 @dataclass
@@ -64,9 +64,6 @@ class ModelConfig:
     feature_dims: dict = field(default_factory=lambda: dict(DEFAULT_FEATURE_DIMS))
     use_group_fusion: bool = True
     use_partner_cross: bool = True
-    share_stream_encoders: bool = False
-    use_positional: bool = True
-    head_hidden: int = 0                    # 0 means model_dim
     encoder_depth: int = 1                  # per-stream and group encoder depth
     ffn_mult: int = 4
     dtype: str = "float64"
@@ -78,10 +75,8 @@ class ModelConfig:
         d, h = self.model_dim, self.heads
         if d < 1 or h < 1:
             raise ValueError(f"need model_dim >= 1 and heads >= 1, got {d} and {h}")
-        for width in (d, 2 * d, 3 * d):
-            if width % h != 0:
-                raise ValueError(f"heads ({h}) must divide all pipeline widths, "
-                                 f"violated at {width}")
+        if d % h != 0:  # then heads divide the 2d and 3d group widths too
+            raise ValueError(f"heads ({h}) must divide model_dim ({d})")
         if self.core_len < 1 or self.context_len < 0:
             raise ValueError("need core_len >= 1 and context_len >= 0")
         if not 0.0 <= self.dropout < 1.0:
@@ -92,6 +87,8 @@ class ModelConfig:
             raise ValueError("feature dims must be positive")
         if self.cross_layers < 1 or self.encoder_depth < 1:
             raise ValueError("cross_layers and encoder_depth must be >= 1")
+        if self.ffn_mult < 1:
+            raise ValueError(f"need ffn_mult >= 1, got {self.ffn_mult}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"dtype must be float64 or float32, got {self.dtype}")
 
@@ -113,7 +110,7 @@ class ModelConfig:
 
     @property
     def head_hidden_dim(self) -> int:
-        return self.head_hidden or self.model_dim
+        return self.model_dim
 
     @property
     def np_dtype(self):
@@ -148,7 +145,7 @@ def _check_bundle(bundle: dict[str, Tensor], cfg: ModelConfig, who: str) -> int:
 
 
 class StreamEncoders(Module):
-    """Per-stream linear projection to d, optional positional add, then a
+    """Per-stream linear projection to d, sinusoidal positional add, then a
     stack of standard encoder layers per stream."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -159,14 +156,12 @@ class StreamEncoders(Module):
                                                    cfg.ffn_mult, dt)
                            for _ in range(cfg.encoder_depth)]
                        for s in STREAMS}
-        self.positional = PositionalEncoding(cfg.window_len, d, dt) if cfg.use_positional else None
+        self.positional = PositionalEncoding(cfg.window_len, d, dt)
 
     def __call__(self, bundle: dict[str, Tensor], train: bool, rng) -> dict[str, Tensor]:
         out = {}
         for s in STREAMS:
-            x = self.proj[s](bundle[s])
-            if self.positional is not None:
-                x = self.positional(x)
+            x = self.positional(self.proj[s](bundle[s]))
             for layer in self.layers[s]:
                 x = layer(x, train, rng)
             out[s] = x
@@ -296,12 +291,7 @@ class EngagementModel(_Architecture):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         self.target_fusion = GroupFusion(cfg, rng)
-        if not cfg.use_partner_cross:
-            self.partner_fusion = None
-        elif cfg.share_stream_encoders:
-            self.partner_fusion = self.target_fusion
-        else:
-            self.partner_fusion = GroupFusion(cfg, rng)
+        self.partner_fusion = GroupFusion(cfg, rng) if cfg.use_partner_cross else None
         self.audio_cross: list[PartnerCrossLayer] = []
         self.video_cross: list[PartnerCrossLayer] = []
         if cfg.use_partner_cross:
@@ -375,9 +365,8 @@ def param_count(cfg: ModelConfig, arch: str = "dialogue") -> int:
     per_role = streams + (cfg.encoder_depth * groups if cfg.use_group_fusion else 0)
     if not cfg.use_partner_cross:
         return per_role + head
-    roles = 1 if cfg.share_stream_encoders else 2
     # a cross layer holds the same parameter set as an encoder layer of its width
-    return roles * per_role + cfg.cross_layers * groups + head
+    return 2 * per_role + cfg.cross_layers * groups + head
 
 
 def save_checkpoint(path, model, extra: dict | None = None) -> None:
@@ -417,14 +406,17 @@ def load_checkpoint(path):
     version. The manifest must be a JSON object naming a known arch and only
     ModelConfig fields. Its params must be exactly the model's ``{name,
     shape}`` list, in walk order, and the blob exactly that many values of the
-    config's dtype. Any breach raises DataFormatError naming the file, and
-    the parameter where there is one."""
+    config's dtype. Any breach, or a file that cannot be read, raises
+    DataFormatError naming the file, and the parameter where there is one."""
     from .data import DataFormatError  # shared error taxonomy for file issues
 
     def bad(message: str) -> DataFormatError:
         return DataFormatError(f"{path}: {message}")
 
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise bad(f"cannot read checkpoint ({exc.strerror or exc})") from None
     if len(raw) < 16:
         raise bad(f"truncated header ({len(raw)} bytes, need 16)")
     if raw[:4] != CHECKPOINT_MAGIC:

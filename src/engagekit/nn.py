@@ -8,9 +8,9 @@ window ``[L, D]`` or a batch of windows ``[B, L, D]``.
 Every block is a ``Module``: ``named_parameters`` walks its attributes in the
 order ``__init__`` set them and names each ``Tensor`` by its attribute path.
 It descends into sub-modules (``attr.<name>``), lists (``attr.<i>.<name>``)
-and dicts (``attr.<key>.<name>``). A tensor reachable by more than one path,
-as when two attributes hold the same module, is named once, by the first
-path found. These names key the optimizer state and the checkpoints.
+and dicts (``attr.<key>.<name>``). No two attributes hold the same module, so
+every tensor has one path. These names key the optimizer state and the
+checkpoints.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Module:
     parameter naming rule."""
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        found: dict[int, tuple[str, Tensor]] = {}   # id -> first (path, tensor)
+        found: list[tuple[str, Tensor]] = []
 
         def walk(value, path: str) -> None:
             if isinstance(value, Module):
@@ -40,13 +40,13 @@ class Module:
             elif isinstance(value, list):
                 value = dict(enumerate(value))
             if isinstance(value, Tensor):
-                found.setdefault(id(value), (path, value))
+                found.append((path, value))
             elif isinstance(value, dict):
                 for key, item in value.items():
                     walk(item, f"{path}.{key}" if path else str(key))
 
         walk(self, "")
-        return list(found.values())
+        return found
 
     def zero_grad(self) -> None:
         for _, p in self.named_parameters():

@@ -8,10 +8,11 @@ import pytest
 
 import engagekit.cli as cli
 from engagekit.cli import dispatch, parse_config_file, resolve_configs, CliUsageError
-from engagekit.data import SynthConfig, synth_corpus
-from engagekit.model import EngagementModel
+from engagekit.data import SynthConfig, synth_corpus, synth_session
+from engagekit.model import EngagementModel, ModelConfig, param_count, save_checkpoint
+from engagekit.training import TrainConfig
 
-from conftest import toy_config, damaged_checkpoint
+from conftest import TOY_FEATURE_DIMS, toy_config, damaged_checkpoint
 
 
 def synth_dirs(tmp_path, frames=120, sessions=2):
@@ -38,10 +39,10 @@ def fast_flags(tmp_path, out="run"):
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# comment\nmodel_dim = 64\ndropout = 0.1  # trailing\n"
-                    "use_positional = false\nloss = ccc\n\n")
+                    "use_partner_cross = false\nloss = ccc\n\n")
     parsed = parse_config_file(path)
     assert parsed == {"model_dim": 64, "dropout": 0.1,
-                      "use_positional": False, "loss": "ccc"}
+                      "use_partner_cross": False, "loss": "ccc"}
 
 
 def test_config_precedence_flags_beat_file_beat_preset(tmp_path):
@@ -59,6 +60,17 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("warp_factor = 9\n")
     with pytest.raises(CliUsageError):
         parse_config_file(path)
+
+
+@pytest.mark.parametrize("line", ["share_stream_encoders = true", "use_positional = false",
+                                  "head_hidden = 12"])
+def test_config_removed_model_key_is_usage_error(tmp_path, capsys, line):
+    config = tmp_path / "old.cfg"
+    config.write_text(line + "\n")
+    code = dispatch(["train", "--data", str(tmp_path / "absent"), "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert f"unknown config key '{line.split()[0]}'" in capsys.readouterr().err
 
 
 def test_paper_presets_carry_published_values():
@@ -187,6 +199,8 @@ def test_eval_refuses_damaged_session_manifest(tmp_path, capsys, damage, named):
     pytest.param("beta1 = 1.0", "beta1", id="beta1"),
     pytest.param("beta2 = 1.0", "beta2", id="beta2"),
     pytest.param("eps = 0", "eps", id="eps"),
+    pytest.param("ffn_mult = 0", "ffn_mult >= 1", id="ffn_mult_0"),
+    pytest.param("ffn_mult = -1", "ffn_mult >= 1", id="ffn_mult_neg"),
 ])
 def test_config_out_of_range_is_usage_error(tmp_path, capsys, line, named):
     config = tmp_path / "bad.cfg"
@@ -196,6 +210,28 @@ def test_config_out_of_range_is_usage_error(tmp_path, capsys, line, named):
     assert code == 1
     err = capsys.readouterr().err
     assert "error[usage]" in err and named in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_missing_checkpoint_is_data_error(tmp_path, capsys, command):
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    ckpt = tmp_path / "absent.ckpt"
+    args = (["eval", "--data", str(val_dir)] if command == "eval" else
+            ["predict", "--session", str(val_dir), "--out", str(tmp_path / "p.csv")])
+    assert dispatch(args + ["--ckpt", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "error[data]" in err and f"{ckpt}: cannot read checkpoint" in err
+
+
+def test_predict_refuses_a_directory_of_several_sessions(tmp_path, capsys):
+    train_dir, _ = synth_dirs(tmp_path, frames=40, sessions=2)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
+    code = dispatch(["predict", "--session", str(train_dir), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "p.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and f"{train_dir} holds 2 sessions" in err
 
 
 def test_gradcheck_breach_is_numeric_error(monkeypatch, capsys):
@@ -217,6 +253,14 @@ def test_synth_twice_is_byte_identical(tmp_path, capsys):
     assert files_a
     for rel in files_a:
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--sessions", "0"), ("--frames", "0"),
+                                         ("--quantize-levels", "1")])
+def test_synth_bad_count_is_usage_error(tmp_path, capsys, flag, value):
+    assert dispatch(["synth", "--out", str(tmp_path / "s"), flag, value]) == 1
+    assert "error[usage]" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_synth_quantize_levels(tmp_path):
@@ -264,6 +308,19 @@ def test_train_eval_predict_pipeline(tmp_path, capsys):
     assert len(rows) - 1 == 120
     values = np.array([float(r[1]) for r in rows[1:]])
     assert np.all(values >= 0.0) and np.all(values <= 1.0)
+
+
+def test_eval_prints_the_checkpoint_config(tmp_path, capsys):
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    ckpt = tmp_path / "m.ckpt"
+    cfg = ModelConfig(model_dim=16, heads=2, core_len=16, context_len=4, dropout=0.0,
+                      dtype="float32")
+    save_checkpoint(ckpt, EngagementModel(cfg, seed=0))
+    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", str(ckpt), "--preset", "desk"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "model_dim = 16" in out and "dtype = float32" in out
+    assert "model_dim = 32" not in out  # the desk preset's width
 
 
 def test_eval_oracle_scores_perfectly(tmp_path, capsys):
@@ -322,6 +379,24 @@ def test_ablate_emits_rows_per_arm_and_seed(tmp_path, capsys):
     assert by_arm["full"] > by_arm["cross"] > by_arm["baseline"]
     seeds = {r["seed"] for r in rows}
     assert seeds == {"0", "1"}
+
+
+def test_ablate_fused_baseline_arm():
+    synth = SynthConfig(sessions=2, num_frames=48, seed=3, feature_dims=dict(TOY_FEATURE_DIMS))
+    train_session, val_session = (synth_session(synth, i) for i in range(2))
+    cfg = toy_config(core_len=8, context_len=4)
+    train_cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=1, ema_decay=0.5)
+    (row,) = cli.run_ablate(cfg, train_cfg, [train_session], [val_session],
+                            ["fused_baseline"], [0], quiet=True)
+    assert row["arm"] == "fused_baseline"
+    assert row["params"] == param_count(cfg, "baseline")
+    assert np.isfinite(row["val_ccc"])
+
+
+def test_ablate_zero_seeds_is_usage_error(tmp_path, capsys):
+    assert dispatch(["ablate", "--data", "x", "--val", "y", "--out", "z",
+                     "--seeds", "0"]) == 1
+    assert "--seeds must be >= 1" in capsys.readouterr().err
 
 
 def test_ablate_rejects_unknown_arm(tmp_path, capsys):
