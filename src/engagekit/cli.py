@@ -2,8 +2,8 @@
 
 Configuration is resolved as defaults <- preset <- config file <- flags
 (rightmost wins); every run prints the resolved configuration and seed so it
-can be reproduced verbatim. Exit codes: 0 success, 1 usage error, 2
-data/format error, 3 numerical failure (divergence or gradient-check breach).
+can be reproduced verbatim. Exit codes: 0 success, 1 usage error, 2 data,
+format or file I/O error, 3 numerical failure (divergence, gradcheck breach).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import (DataFormatError, SynthConfig, load_sessions, synth_corpus)
+from .data import SynthConfig, load_sessions, synth_corpus
 from .metrics import LabelEchoPredictor, ccc_loss, evaluate_sessions, mse, predict_session
 from .model import (MODELS, BaselineModel, EngagementModel, GroupFusion, ModelConfig,
                     PartnerCrossLayer, STREAMS, load_checkpoint)
@@ -316,6 +316,8 @@ def run_gradcheck_suite(seed: int = 0, verbose: bool = True) -> float:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise CliUsageError(f"seed must be >= 0, got {args.seed}")
     print(f"gradcheck seed = {args.seed}")
     worst = run_gradcheck_suite(seed=args.seed)
     print(f"gradcheck suite passed; overall max_rel_err {worst:.3e}")
@@ -379,7 +381,8 @@ def summarize_ablation(rows, arms) -> dict[str, tuple[float, float]]:
 def cmd_ablate(args) -> int:
     model_cfg, train_cfg = resolve_configs(args.preset, args.config,
                                            {"epochs": args.epochs, "lr": args.lr,
-                                            "batch_size": args.batch_size})
+                                            "batch_size": args.batch_size,
+                                            "seed": args.seed})
     arms = tuple(args.arms.split(",")) if args.arms else DEFAULT_ARMS
     unknown = [a for a in arms if a not in ABLATION_ARMS]
     if unknown:
@@ -387,7 +390,7 @@ def cmd_ablate(args) -> int:
                             f"(have: {', '.join(ABLATION_ARMS)})")
     if args.seeds < 1:
         raise CliUsageError(f"--seeds must be >= 1, got {args.seeds}")
-    seeds = list(range(args.seed, args.seed + args.seeds))
+    seeds = list(range(train_cfg.seed, train_cfg.seed + args.seeds))
     print_resolved("ablate", model_cfg, train_cfg)
     print(f"  arms = {','.join(arms)}")
     print(f"  seeds = {seeds}")
@@ -478,13 +481,14 @@ def dispatch(argv) -> int:
     except CliUsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataFormatError as exc:
-        print(f"error[data]: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (DivergenceError, GradCheckError, NonFiniteError) as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"error[data]: {exc.filename}: {exc.strerror}" if exc.filename else
+              f"error[data]: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:  # DataFormatError among them
         print(f"error[data]: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -31,6 +31,17 @@ SCHEMA_VERSION = 1
 LABELS_FILE = "labels"
 ROLE_IDS = {"target": 0, "partner": 1}
 
+MEAN_REVERSION = 0.05                   # pull toward 0.5 per frame
+LATENT_NOISE = 0.05                     # innovation std of the walk
+SMOOTH_WINDOW = 9                       # centered moving-average width
+DISTORTION_FRAC = 0.35                  # portion of obs_noise that distorts the
+                                        # perceived latent per stream (smooth,
+                                        # common-mode; a linear probe cannot
+                                        # average or project it away). 0.35
+                                        # puts a frame-wise linear probe near
+                                        # CCC 0.8 at the default dims.
+FRAME_RATE_HZ = 25.0                    # synthetic; also a manifest's default
+
 
 class DataFormatError(ValueError):
     """A file or directory does not satisfy the session storage contract."""
@@ -79,7 +90,7 @@ class SessionRecord:
     session_id: str
     num_frames: int
     roles: dict[str, RoleData]
-    frame_rate_hz: float = 25.0
+    frame_rate_hz: float = FRAME_RATE_HZ
 
     def feature_dims(self) -> dict[str, int]:
         any_role = next(iter(self.roles.values()))
@@ -182,7 +193,7 @@ def load_session(directory) -> SessionRecord:
             or not all(isinstance(role, str) for role in manifest["roles"])):
         raise DataFormatError(f"{directory}: manifest roles must be a list of names "
                               f"that includes 'target'")
-    frame_rate = manifest.get("frame_rate_hz", 25.0)
+    frame_rate = manifest.get("frame_rate_hz", FRAME_RATE_HZ)
     if not isinstance(frame_rate, (int, float)) or not frame_rate > 0:
         raise DataFormatError(f"{directory}: manifest frame_rate_hz must be a positive "
                               f"number, got {frame_rate!r}")
@@ -230,52 +241,38 @@ class SynthConfig:
     sessions: int = 5
     num_frames: int = 2000
     seed: int = 0
-    mean_reversion: float = 0.05        # pull toward 0.5 per frame
-    latent_noise: float = 0.05          # innovation std of the walk
-    smooth_window: int = 9              # centered moving-average width
     partner_coupling: float = 0.6       # in [-1, 1]
-    obs_noise: float = 0.5              # observation noise scale (see below)
-    distortion_frac: float = 0.35       # portion of obs_noise that distorts the
-                                        # perceived latent per stream (smooth,
-                                        # common-mode; a linear probe cannot
-                                        # average or project it away). 0.35
-                                        # puts a frame-wise linear probe near
-                                        # CCC 0.8 at the default dims.
+    obs_noise: float = 0.5              # observation noise scale (see DISTORTION_FRAC)
     quantize_levels: int = 0            # 0 = continuous labels
     feature_dims: dict = field(default_factory=lambda: dict(DEFAULT_FEATURE_DIMS))
-    frame_rate_hz: float = 25.0
 
     def __post_init__(self):
         if not -1.0 <= self.partner_coupling <= 1.0:
             raise ValueError("partner_coupling must be in [-1, 1]")
         if self.quantize_levels < 0 or self.quantize_levels == 1:
             raise ValueError("quantize_levels must be 0 or >= 2")
-        if self.smooth_window < 1:
-            raise ValueError("smooth_window must be >= 1")
         if self.num_frames < 1 or self.sessions < 1:
             raise ValueError("need at least one frame and one session")
-        if not 0.0 <= self.distortion_frac <= 1.0:
-            raise ValueError("distortion_frac must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _smooth(x: np.ndarray, window: int) -> np.ndarray:
+def _smooth(x: np.ndarray) -> np.ndarray:
     # Centered moving average, truncated (not shrunk) at the series edges;
     # well defined for any series length, including shorter than the window.
-    if window <= 1 or x.size <= 1:
-        return x
     idx = np.arange(x.size)
-    lo = np.maximum(idx - (window - 1) // 2, 0)
-    hi = np.minimum(idx + window // 2 + 1, x.size)
+    lo = np.maximum(idx - (SMOOTH_WINDOW - 1) // 2, 0)
+    hi = np.minimum(idx + SMOOTH_WINDOW // 2 + 1, x.size)
     csum = np.concatenate([[0.0], np.cumsum(x)])
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 def _latent_walk(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     e = np.empty(cfg.num_frames)
     e[0] = rng.uniform(0.2, 0.8)
-    steps = rng.standard_normal(cfg.num_frames - 1) * cfg.latent_noise
+    steps = rng.standard_normal(cfg.num_frames - 1) * LATENT_NOISE
     for t in range(cfg.num_frames - 1):
-        e[t + 1] = np.clip(e[t] + cfg.mean_reversion * (0.5 - e[t]) + steps[t], 0.0, 1.0)
-    return _smooth(e, cfg.smooth_window)
+        e[t + 1] = np.clip(e[t] + MEAN_REVERSION * (0.5 - e[t]) + steps[t], 0.0, 1.0)
+    return _smooth(e)
 
 
 def _readout_matrix(seed: int, role: str, stream: str, dim: int) -> np.ndarray:
@@ -301,7 +298,7 @@ def synth_session(cfg: SynthConfig, session_index: int) -> SessionRecord:
     rho = cfg.partner_coupling
     partner_latent = np.clip(rho * target_latent + (1.0 - abs(rho)) * indep, 0.0, 1.0)
 
-    distortion_std = cfg.obs_noise * cfg.distortion_frac
+    distortion_std = cfg.obs_noise * DISTORTION_FRAC
     roles = {}
     for role, latent in (("target", target_latent), ("partner", partner_latent)):
         streams = {}
@@ -329,7 +326,6 @@ def synth_session(cfg: SynthConfig, session_index: int) -> SessionRecord:
         session_id=f"synth-{cfg.seed:04d}-{session_index:03d}",
         num_frames=cfg.num_frames,
         roles=roles,
-        frame_rate_hz=cfg.frame_rate_hz,
     )
 
 

@@ -10,10 +10,11 @@ Flags turn the group-fusion encoders and the partner cross-attention off
 independently, which gives the ablation arms; a solo baseline variant
 (per-stream encoders + one wide fusion layer) is provided as its own class.
 
-Both architectures share one base: its ``forward`` checks the target bundle,
-runs the architecture's own feature path to the fused 5d features, applies
-the prediction head and clamps to [0, 1] in eval mode. ``MODELS`` maps a
-checkpoint's arch name to its class.
+Both architectures share one base, which alone decides the model dtype: the
+blocks build in float64 and it casts every parameter to ``cfg.dtype`` once.
+Its ``forward`` checks the target bundle, runs the architecture's own feature
+path to the fused 5d features, applies the prediction head and clamps to
+[0, 1] in eval mode. ``MODELS`` maps a checkpoint's arch name to its class.
 
 Parameters are named by attribute path (``nn.Module.named_parameters``), such
 as ``audio_cross.0.ffn.lin1.bias``; the target and the partner each have their
@@ -150,13 +151,12 @@ class StreamEncoders(Module):
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.model_dim
-        dt = cfg.np_dtype
-        self.proj = {s: Linear(cfg.feature_dims[s], d, rng, dt) for s in STREAMS}
+        self.proj = {s: Linear(cfg.feature_dims[s], d, rng) for s in STREAMS}
         self.layers = {s: [TransformerEncoderLayer(d, cfg.heads, cfg.dropout, rng,
-                                                   cfg.ffn_mult, dt)
+                                                   cfg.ffn_mult)
                            for _ in range(cfg.encoder_depth)]
                        for s in STREAMS}
-        self.positional = PositionalEncoding(cfg.window_len, d, dt)
+        self.positional = PositionalEncoding(cfg.window_len, d)
 
     def __call__(self, bundle: dict[str, Tensor], train: bool, rng) -> dict[str, Tensor]:
         out = {}
@@ -178,12 +178,11 @@ class GroupFusion(Module):
         self.audio_layers: list[TransformerEncoderLayer] = []
         self.video_layers: list[TransformerEncoderLayer] = []
         if cfg.use_group_fusion:
-            dt = cfg.np_dtype
             for _ in range(cfg.encoder_depth):
                 self.audio_layers.append(TransformerEncoderLayer(
-                    cfg.audio_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult, dt))
+                    cfg.audio_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult))
                 self.video_layers.append(TransformerEncoderLayer(
-                    cfg.video_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult, dt))
+                    cfg.video_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult))
 
     def __call__(self, bundle: dict[str, Tensor], train: bool = False,
                  rng=None) -> tuple[Tensor, Tensor]:
@@ -212,11 +211,11 @@ class PartnerCrossLayer(Module):
     """
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
-                 ffn_mult: int = 4, dtype=np.float64):
-        self.norm_kv = LayerNorm(dim, dtype=dtype)
-        self.attn = MultiHeadAttention(dim, heads, dropout_rate, rng, dtype)
-        self.norm_ffn = LayerNorm(dim, dtype=dtype)
-        self.ffn = FeedForward(dim, ffn_mult * dim, dim, dropout_rate, rng, dtype)
+                 ffn_mult: int = 4):
+        self.norm_kv = LayerNorm(dim)
+        self.attn = MultiHeadAttention(dim, heads, dropout_rate, rng)
+        self.norm_ffn = LayerNorm(dim)
+        self.ffn = FeedForward(dim, ffn_mult * dim, dim, dropout_rate, rng)
 
     def __call__(self, target: Tensor, partner: Tensor, train: bool = False,
                  rng=None) -> Tensor:
@@ -239,19 +238,27 @@ class PredictionHead(Module):
     """
 
     def __init__(self, cfg: ModelConfig, rng):
-        dt = cfg.np_dtype
-        self.norm = LayerNorm(cfg.head_in_dim, dtype=dt)
-        self.mlp = FeedForward(cfg.head_in_dim, cfg.head_hidden_dim, 1, cfg.dropout, rng, dt)
+        self.norm = LayerNorm(cfg.head_in_dim)
+        self.mlp = FeedForward(cfg.head_in_dim, cfg.head_hidden_dim, 1, cfg.dropout, rng)
 
     def __call__(self, x: Tensor, train: bool = False, rng=None) -> Tensor:
         return self.mlp(self.norm(x), train, rng)
 
 
 class _Architecture(Module):
-    """The parts both architectures share. A subclass sets ``cfg`` and
-    ``head`` in ``__init__`` and defines ``_features(target, length, partner,
-    train, rng)``, its path from the checked target bundle (of ``length``
-    frames) to the fused ``[.., L, 5d]`` features the head reads."""
+    """The parts both architectures share, and the one owner of the model
+    dtype: ``__init__`` seeds the init generator, calls the subclass's
+    ``_build(rng)``, which builds its float64 blocks and ``head`` in a fixed
+    draw order, then casts every parameter to ``cfg.dtype`` once. A subclass
+    also defines ``_features(target, length, partner, train, rng)``, its path
+    from the checked target bundle (of ``length`` frames) to the fused
+    ``[.., L, 5d]`` features the head reads."""
+
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
+        self.cfg = cfg
+        self._build(np.random.default_rng(seed))
+        for _, p in self.named_parameters():
+            p.data = p.data.astype(cfg.np_dtype, copy=False)
 
     @property
     def core_len(self) -> int:
@@ -287,20 +294,18 @@ class EngagementModel(_Architecture):
 
     arch = "dialogue"
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
-        self.cfg = cfg
-        rng = np.random.default_rng(seed)
+    def _build(self, rng: np.random.Generator) -> None:
+        cfg = self.cfg
         self.target_fusion = GroupFusion(cfg, rng)
         self.partner_fusion = GroupFusion(cfg, rng) if cfg.use_partner_cross else None
         self.audio_cross: list[PartnerCrossLayer] = []
         self.video_cross: list[PartnerCrossLayer] = []
         if cfg.use_partner_cross:
-            dt = cfg.np_dtype
             for _ in range(cfg.cross_layers):
                 self.audio_cross.append(PartnerCrossLayer(
-                    cfg.audio_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult, dt))
+                    cfg.audio_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult))
                 self.video_cross.append(PartnerCrossLayer(
-                    cfg.video_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult, dt))
+                    cfg.video_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult))
         self.head = PredictionHead(cfg, rng)
 
     def _features(self, target, length, partner, train, rng) -> Tensor:
@@ -328,13 +333,11 @@ class BaselineModel(_Architecture):
 
     arch = "baseline"
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
-        self.cfg = cfg
-        rng = np.random.default_rng(seed)
+    def _build(self, rng: np.random.Generator) -> None:
+        cfg = self.cfg
         self.streams = StreamEncoders(cfg, rng)
-        dt = cfg.np_dtype
         self.fusion = [TransformerEncoderLayer(cfg.head_in_dim, cfg.heads, cfg.dropout,
-                                               rng, cfg.ffn_mult, dt)
+                                               rng, cfg.ffn_mult)
                        for _ in range(cfg.encoder_depth)]
         self.head = PredictionHead(cfg, rng)
 

@@ -5,6 +5,10 @@ feed-forward, sinusoidal positional encoding, inverted dropout, and a
 standard pre-norm transformer encoder layer. Blocks accept either a single
 window ``[L, D]`` or a batch of windows ``[B, L, D]``.
 
+Blocks take no dtype: they build in float64, as their init draws come, and
+a model casts its parameters once (``model._Architecture``). Dropout's mask
+and the positional table follow the input's dtype.
+
 Every block is a ``Module``: ``named_parameters`` walks its attributes in the
 order ``__init__`` set them and names each ``Tensor`` by its attribute path.
 It descends into sub-modules (``attr.<name>``), lists (``attr.<i>.<name>``)
@@ -73,16 +77,14 @@ def dropout(x: Tensor, rate: float, train: bool,
 class Linear(Module):
     """Affine map x @ W + b with Xavier-uniform init (bias optional)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng, dtype=np.float64,
-                 bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng, bias: bool = True):
         rng = _init_rng(rng)
         limit = math.sqrt(6.0 / (in_dim + out_dim))
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = Tensor(rng.uniform(-limit, limit, (in_dim, out_dim)),
-                             requires_grad=True, dtype=dtype)
-        self.bias = (Tensor(np.zeros(out_dim), requires_grad=True, dtype=dtype)
-                     if bias else None)
+                             requires_grad=True)
+        self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
@@ -95,13 +97,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float64):
-        self.eps = eps
-        self.gamma = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
+    def __init__(self, dim: int):
+        self.gamma = Tensor(np.ones(dim), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
     @staticmethod
     def param_count(dim: int) -> int:
@@ -120,20 +121,19 @@ class MultiHeadAttention(Module):
     ``[B, heads, Lq, Lk]`` (``[1, heads, Lq, Lk]`` for 2-d input).
     """
 
-    def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
-                 dtype=np.float64):
+    def __init__(self, dim: int, heads: int, dropout_rate: float, rng):
         if dim % heads != 0:
             raise ValueError(f"heads ({heads}) must divide model dim ({dim})")
         rng = _init_rng(rng)
         self.dim = dim
         self.heads = heads
         self.dropout_rate = dropout_rate
-        self.wq = Linear(dim, dim, rng, dtype)
+        self.wq = Linear(dim, dim, rng)
         # No key bias: softmax(q k^T) is invariant to a per-row shift, so a
         # key-side bias would be a dead parameter with an exactly-zero grad.
-        self.wk = Linear(dim, dim, rng, dtype, bias=False)
-        self.wv = Linear(dim, dim, rng, dtype)
-        self.wo = Linear(dim, dim, rng, dtype)
+        self.wk = Linear(dim, dim, rng, bias=False)
+        self.wv = Linear(dim, dim, rng)
+        self.wo = Linear(dim, dim, rng)
         self.last_weights: np.ndarray | None = None
 
     def __call__(self, q_in: Tensor, kv_in: Tensor, train: bool = False,
@@ -163,11 +163,11 @@ class FeedForward(Module):
     """Two-layer MLP: in_dim -> hidden -> out_dim with GELU and hidden dropout."""
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int, dropout_rate: float,
-                 rng, dtype=np.float64):
+                 rng):
         rng = _init_rng(rng)
         self.dropout_rate = dropout_rate
-        self.lin1 = Linear(in_dim, hidden, rng, dtype)
-        self.lin2 = Linear(hidden, out_dim, rng, dtype)
+        self.lin1 = Linear(in_dim, hidden, rng)
+        self.lin2 = Linear(hidden, out_dim, rng)
 
     def __call__(self, x: Tensor, train: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -183,13 +183,13 @@ class TransformerEncoderLayer(Module):
     """Pre-norm transformer layer: x + Attn(Norm(x)), then + FFN(Norm(.))."""
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
-                 ffn_mult: int = 4, dtype=np.float64):
+                 ffn_mult: int = 4):
         rng = _init_rng(rng)
         self.dim = dim
-        self.norm1 = LayerNorm(dim, dtype=dtype)
-        self.attn = MultiHeadAttention(dim, heads, dropout_rate, rng, dtype)
-        self.norm2 = LayerNorm(dim, dtype=dtype)
-        self.ffn = FeedForward(dim, ffn_mult * dim, dim, dropout_rate, rng, dtype)
+        self.norm1 = LayerNorm(dim)
+        self.attn = MultiHeadAttention(dim, heads, dropout_rate, rng)
+        self.norm2 = LayerNorm(dim)
+        self.ffn = FeedForward(dim, ffn_mult * dim, dim, dropout_rate, rng)
 
     def __call__(self, x: Tensor, train: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -205,19 +205,18 @@ class TransformerEncoderLayer(Module):
 
 
 class PositionalEncoding(Module):
-    """Fixed sinusoidal table [max_len, dim]; added once after projection."""
+    """Fixed sinusoidal table [max_len, dim], added in the input's dtype."""
 
-    def __init__(self, max_len: int, dim: int, dtype=np.float64):
-        pos = np.arange(max_len, dtype=np.float64)[:, None]
-        i = np.arange(dim, dtype=np.float64)[None, :]
+    def __init__(self, max_len: int, dim: int):
+        pos = np.arange(max_len)[:, None]
+        i = np.arange(dim)[None, :]
         angle = pos / np.power(10000.0, 2.0 * (i // 2) / dim)
-        table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
         self.max_len = max_len
-        self.table = table.astype(dtype)
+        self.table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
     def __call__(self, x: Tensor) -> Tensor:
         length = x.shape[-2]
         if length > self.max_len:
             raise T.ShapeError(f"positional encoding: sequence length {length} exceeds "
                                f"table size {self.max_len}")
-        return T.add(x, T.constant(self.table[:length]))
+        return T.add(x, T.constant(self.table[:length].astype(x.dtype, copy=False)))

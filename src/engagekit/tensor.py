@@ -23,8 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float64
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -82,12 +80,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(dtype or DEFAULT_DTYPE)
-        elif dtype is not None:
-            arr = arr.astype(dtype, copy=False)
+            arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -166,13 +162,13 @@ def _check_suffix_broadcast(op: str, a: Tensor, b: Tensor) -> None:
     raise ShapeError(f"{op}: shapes {sa} and {sb} are not equal or suffix-broadcastable")
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(x, dtype=None) -> Tensor:
-    """Non-trainable tensor wrapping `x` (no copy when dtype matches)."""
-    return Tensor(x, requires_grad=False, dtype=dtype)
+def constant(x) -> Tensor:
+    """Non-trainable tensor wrapping `x` (no copy of a float array)."""
+    return Tensor(x, requires_grad=False)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -56,8 +56,10 @@ class TrainConfig:
             raise ValueError("ema_decay must be in [0, 1)")
         if self.loss not in ("mse", "ccc"):
             raise ValueError(f"loss must be 'mse' or 'ccc', got {self.loss!r}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ValueError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be >= 1")
         if self.lr_schedule not in ("none", "cosine"):

@@ -201,6 +201,7 @@ def test_eval_refuses_damaged_session_manifest(tmp_path, capsys, damage, named):
     pytest.param("eps = 0", "eps", id="eps"),
     pytest.param("ffn_mult = 0", "ffn_mult >= 1", id="ffn_mult_0"),
     pytest.param("ffn_mult = -1", "ffn_mult >= 1", id="ffn_mult_neg"),
+    pytest.param("epochs = 0", "epochs must be >= 1", id="epochs_0"),
 ])
 def test_config_out_of_range_is_usage_error(tmp_path, capsys, line, named):
     config = tmp_path / "bad.cfg"
@@ -210,6 +211,30 @@ def test_config_out_of_range_is_usage_error(tmp_path, capsys, line, named):
     assert code == 1
     err = capsys.readouterr().err
     assert "error[usage]" in err and named in err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck", "ablate"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # the data paths do not exist: the seed must be refused before any read
+    args = {"synth": ["--out", str(tmp_path / "s")],
+            "train": ["--data", str(tmp_path / "absent"), "--out", str(tmp_path / "run")],
+            "gradcheck": [],
+            "ablate": ["--data", str(tmp_path / "absent"), "--val", str(tmp_path / "absent"),
+                       "--out", str(tmp_path / "run")]}[command]
+    assert dispatch([command, *args, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and "seed must be >= 0, got -1" in err
+    assert not (tmp_path / "s").exists()
+
+
+def test_unwritable_report_path_is_data_error(tmp_path, capsys):
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    report = tmp_path / "missing_dir" / "r.json"
+    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", "oracle",
+                     "--preset", "desk", "--report", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error[data]: {report}: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

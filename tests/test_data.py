@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,19 @@ def test_synth_corpus_byte_identical(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def test_synth_corpus_golden_bytes(tmp_path):
+    # Pins the generator's output. synth_config.json is left out: it echoes
+    # the config, not the generated data.
+    synth_corpus(toy_synth(sessions=2), tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*")
+                       if p.is_file() and p.name != "synth_config.json"):
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0"
+                      + path.read_bytes())
+    assert digest.hexdigest() == ("4a625276284af32e29c6338c27ef793e"
+                                  "d2716af96e93cbfeaae79ac3b3281f2a")
 
 
 def test_synth_labels_in_range_and_smooth():

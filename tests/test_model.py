@@ -305,6 +305,25 @@ def test_reduced_graph_is_stream_encoders_plus_head():
     assert all(n.startswith(("target_fusion.streams.", "head.")) for n in names)
 
 
+@pytest.mark.parametrize("cls", [EngagementModel, BaselineModel],
+                         ids=["dialogue", "baseline"])
+def test_float32_model_holds_and_trains_in_float32(rng, cls):
+    # save_checkpoint casts on write, so checkpoint bytes cannot show this
+    cfg = toy_config(dtype="float32", dropout=0.1)
+    model = cls(cfg, seed=0)
+    assert {p.data.dtype for _, p in model.named_parameters()} == {np.dtype(np.float32)}
+    y = model.forward(random_bundle(cfg, 8, rng), random_bundle(cfg, 8, rng),
+                      train=True, rng=np.random.default_rng(1))
+    assert y.dtype == np.float32
+    T.backward(T.mean(T.mul(y, y)))
+    assert {p.grad.dtype for _, p in model.named_parameters()} == {np.dtype(np.float32)}
+
+
+def test_standalone_block_builds_in_float64():
+    layer = PartnerCrossLayer(8, 2, 0.0, np.random.default_rng(0))
+    assert {p.data.dtype for _, p in layer.named_parameters()} == {np.dtype(np.float64)}
+
+
 # ---------------------------------------------------------------- checkpoints
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
