@@ -16,6 +16,7 @@ noise. Everything is a pure function of (seed, session index).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -62,21 +63,28 @@ def write_matrix(path, matrix) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise DataFormatError(f"{path}: truncated header, {len(raw)} bytes < 16")
-    if raw[:4] != DATF_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r} at offset 0")
-    version, rows, cols = struct.unpack_from("<III", raw, 4)
-    if version != DATF_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version} at offset 4")
-    expected = rows * cols * 4
-    actual = len(raw) - 16
-    if actual != expected:
-        raise DataFormatError(f"{path}: payload is {actual} bytes at offset 16, "
+    """Read one DATF matrix. The header is checked, and the file's size
+    against it, before the payload is read straight into the result."""
+    with open(path, "rb") as f:
+        header = f.read(16)
+        if len(header) < 16:
+            raise DataFormatError(f"{path}: truncated header, {len(header)} bytes < 16")
+        if header[:4] != DATF_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {header[:4]!r} at offset 0")
+        version, rows, cols = struct.unpack_from("<III", header, 4)
+        if version != DATF_VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version} at offset 4")
+        expected = rows * cols * 4
+        actual = os.fstat(f.fileno()).st_size - 16
+        if actual != expected:
+            raise DataFormatError(f"{path}: payload is {actual} bytes at offset 16, "
+                                  f"expected {expected} for {rows}x{cols}")
+        data = np.empty((rows, cols), dtype="<f4")
+        got = f.readinto(data)
+    if got != expected:
+        raise DataFormatError(f"{path}: payload read {got} bytes at offset 16, "
                               f"expected {expected} for {rows}x{cols}")
-    data = np.frombuffer(raw, dtype="<f4", offset=16)
-    return data.reshape(rows, cols).copy()
+    return data
 
 
 @dataclass
@@ -213,7 +221,11 @@ def load_session(directory) -> SessionRecord:
         labels = None
         labels_path = role_dir / f"{LABELS_FILE}.datf"
         if labels_path.exists():
-            labels = read_matrix(labels_path)[:, 0]
+            labels = read_matrix(labels_path)
+            if labels.shape[1] != 1:
+                raise DataFormatError(f"{directory}: labels file {role}/{LABELS_FILE}.datf "
+                                      f"has {labels.shape[1]} columns, expected 1")
+            labels = labels[:, 0]
         roles[role] = RoleData(streams=streams, labels=labels)
     record = SessionRecord(
         session_id=manifest["session_id"],

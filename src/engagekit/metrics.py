@@ -156,21 +156,31 @@ class LabelEchoPredictor:
         return np.asarray(batch.labels)
 
 
-def predict_session(model, session, batch_size: int = 64) -> np.ndarray:
-    """Segment a session, run the model over window batches, stitch the cores
-    back together, clamp to the label range."""
+# Windows per predict_windows call. A window's output does not depend on the
+# other windows of its batch, so this changes no prediction; small batches
+# keep the gather and the forward's temporaries small.
+WINDOWS_PER_BATCH = 8
+
+
+def predict_session(model, session) -> np.ndarray:
+    """Segment a session, run the model over batches of WINDOWS_PER_BATCH
+    windows, stitch the cores back together, clamp to the label range.
+    Raises NonFiniteError naming the session if a batch's output is not
+    finite (damaged weights, say)."""
     segments = make_segments(session.num_frames, model.core_len, model.context_len)
     preds: list[np.ndarray] = []
-    for lo in range(0, len(segments), batch_size):
-        chunk = segments[lo:lo + batch_size]
-        batch = build_window_batch(session, chunk)
-        out = model.predict_windows(batch)
-        preds.extend(out[i] for i in range(out.shape[0]))
+    for lo in range(0, len(segments), WINDOWS_PER_BATCH):
+        chunk = segments[lo:lo + WINDOWS_PER_BATCH]
+        out = model.predict_windows(build_window_batch(session, chunk))
+        if not np.all(np.isfinite(out)):
+            raise T.NonFiniteError(f"session '{session.session_id}': non-finite predictions "
+                                   f"in windows {lo}..{lo + len(chunk) - 1}")
+        preds.extend(out)
     series = reassemble(preds, segments, session.num_frames)
     return np.clip(series, 0.0, 1.0)
 
 
-def evaluate_sessions(model, sessions, batch_size: int = 64) -> EvalReport:
+def evaluate_sessions(model, sessions) -> EvalReport:
     """Score a model per session (CCC and MSE against the target labels) and
     average across sessions; label-less sessions are skipped with a notice."""
     report = EvalReport()
@@ -180,7 +190,7 @@ def evaluate_sessions(model, sessions, batch_size: int = 64) -> EvalReport:
                           RuntimeWarning, stacklevel=2)
             report.skipped.append(session.session_id)
             continue
-        series = predict_session(model, session, batch_size=batch_size)
+        series = predict_session(model, session)
         labels = session.roles["target"].labels
         report.session_ids.append(session.session_id)
         report.ccc_per_session.append(ccc(series, labels))

@@ -409,8 +409,9 @@ def load_checkpoint(path):
     version. The manifest must be a JSON object naming a known arch and only
     ModelConfig fields. Its params must be exactly the model's ``{name,
     shape}`` list, in walk order, and the blob exactly that many values of the
-    config's dtype. Any breach, or a file that cannot be read, raises
-    DataFormatError naming the file, and the parameter where there is one."""
+    config's dtype, all finite. Any breach, or a file that cannot be read,
+    raises DataFormatError naming the file, and the parameter where there is
+    one."""
     from .data import DataFormatError  # shared error taxonomy for file issues
 
     def bad(message: str) -> DataFormatError:
@@ -465,7 +466,9 @@ def load_checkpoint(path):
 
     blob = np.frombuffer(raw, dtype=dtype, offset=header_end)
     offset = 0
-    for _, p in params:
+    for name, p in params:
         p.data = blob[offset:offset + p.data.size].reshape(p.data.shape).astype(cfg.np_dtype)
         offset += p.data.size
+        if not np.all(np.isfinite(p.data)):
+            raise bad(f"parameter '{name}' holds non-finite values")
     return model, manifest

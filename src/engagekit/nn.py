@@ -69,7 +69,10 @@ def dropout(x: Tensor, rate: float, train: bool,
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    mask = (rng.random(x.shape, dtype=x.dtype) >= rate).astype(x.dtype)
+    # One buffer holds the draw, then the keep mask, then the mask scaled by
+    # 1/(1-rate): no boolean or cast temporaries.
+    mask = rng.random(x.shape, dtype=x.dtype)
+    np.greater_equal(mask, rate, out=mask, casting="unsafe")
     mask /= 1.0 - rate
     return T.mul(x, T.constant(mask))
 

@@ -109,21 +109,31 @@ class WindowBatch:
 
 def build_mixed_batch(items) -> WindowBatch:
     """Stack (session, segment) pairs -- possibly from different sessions --
-    into one WindowBatch. All windows share the length s + 2l, so mixing is a
-    plain stack."""
+    into one WindowBatch. All windows share the length s + 2l, so each
+    role's stream is one [B, L, dim] array, gathered row by row in place."""
     items = list(items)
     if not items:
         raise ValueError("empty window batch")
-    target_rows = [extract_window(session, seg, "target") for session, seg in items]
+    indices = [window_indices(seg, session.num_frames) for session, seg in items]
+    length = len(indices[0])
+
+    def gather(role: str) -> dict[str, np.ndarray]:
+        out = {}
+        for name in items[0][0].roles["target"].streams:
+            rows = [session.roles[role].streams[name] for session, _ in items]
+            batch = np.empty((len(rows), length, rows[0].shape[1]),
+                             dtype=np.result_type(*rows))
+            for dst, src, idx in zip(batch, rows, indices):
+                # `idx` is already clipped to the stream, so mode="clip" only
+                # spares numpy the buffered copy that mode="raise" makes.
+                np.take(src, idx, axis=0, out=dst, mode="clip")
+            out[name] = batch
+        return out
+
     has_partner = all("partner" in session.roles for session, _ in items)
-    partner_rows = ([extract_window(session, seg, "partner") for session, seg in items]
-                    if has_partner else None)
-    first = target_rows[0]
-    stack = lambda rows, name: np.stack([r[name] for r in rows])
     return WindowBatch(
-        target={name: stack(target_rows, name) for name in first},
-        partner=({name: stack(partner_rows, name) for name in first}
-                 if has_partner else None),
+        target=gather("target"),
+        partner=gather("partner") if has_partner else None,
         labels=np.stack([window_labels(session, seg) for session, seg in items]),
         mask=np.stack([core_mask(seg) for _, seg in items]),
         segments=[seg for _, seg in items],
@@ -140,11 +150,13 @@ def reassemble(per_segment_preds, segments: list[Segment], num_frames: int) -> n
     if len(per_segment_preds) != len(segments):
         raise ValueError(f"got {len(per_segment_preds)} prediction arrays for "
                          f"{len(segments)} segments")
-    out = np.full(num_frames, np.nan)
+    out = np.empty(num_frames)
+    covered = np.zeros(num_frames, dtype=bool)
     for pred, seg in zip(per_segment_preds, segments):
         pred = np.asarray(pred).reshape(seg.window_len, -1)[:, 0]
         off = seg.core_offset
         out[seg.core_start:seg.core_end] = pred[off:off + seg.core_len]
-    if np.isnan(out).any():
+        covered[seg.core_start:seg.core_end] = True
+    if not covered.all():
         raise ValueError("segment cores do not tile the timeline")
     return out

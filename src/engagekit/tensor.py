@@ -228,8 +228,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     ``P = softmax(q k^T / sqrt(d_k))`` and the context is ``P v``; the heads
     are merged back into ``[B, Lq, D]``. The 1/sqrt(d_k) is folded into the
     L x d_k query rather than the L x L scores, and the backward keeps only
-    ``P`` of the L x L intermediates. Returns the context and ``P``
-    (``[B, heads, Lq, Lk]``), which the backward shares: do not modify it.
+    ``P`` of the L x L intermediates. ``P`` for every (window, head) is
+    stored as one ``[Lk, B * heads * Lq]`` array, keys down the rows, so the
+    softmax runs over long contiguous rows. Returns the context and ``P`` as
+    a ``[B, heads, Lq, Lk]`` view of that array, which the backward shares:
+    do not modify it.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError(f"attention: need 3-d q, k, v, got {q.shape}, {k.shape}, {v.shape}")
@@ -251,13 +254,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     qs = np.multiply(split(q.data, lq), s, order="C")
     kh = np.ascontiguousarray(split(k.data, lk))
     vh = np.ascontiguousarray(split(v.data, lk))
-    # P is held transposed, keys down the rows: numpy reduces over a leading
-    # axis with whole contiguous rows per step, several times faster than
-    # over the short last axis.
-    pt = kh @ qs.swapaxes(-1, -2)
-    pt -= pt.max(axis=-2, keepdims=True)
-    np.exp(pt, out=pt)
-    pt /= pt.sum(axis=-2, keepdims=True)
+    # P is held transposed and flattened, keys down the rows: numpy reduces
+    # over a leading axis one whole contiguous row per step, several times
+    # faster than over a short last axis. ``pt`` is its [B, heads, Lk, Lq] view.
+    p2 = np.empty((lk, b * heads * lq), dtype=np.result_type(qs, kh))
+    pt = p2.reshape(lk, b, heads, lq).transpose(1, 2, 0, 3)
+    np.matmul(kh, qs.swapaxes(-1, -2), out=pt)
+    p2 -= p2.max(axis=0)
+    np.exp(p2, out=p2)
+    p2 /= p2.sum(axis=0)
     out_data = merge(pt.swapaxes(-1, -2) @ vh, lq)
 
     def backward(g: np.ndarray) -> None:
@@ -266,9 +271,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
             _accumulate(v, merge(pt @ gh, lk))
         if not (q.requires_grad or k.requires_grad):
             return
-        dst = vh @ gh.swapaxes(-1, -2)
-        dst -= np.einsum("...kq,...kq->...q", dst, pt)[..., None, :]
-        dst *= pt
+        d2 = np.empty_like(p2)
+        dst = d2.reshape(lk, b, heads, lq).transpose(1, 2, 0, 3)
+        np.matmul(vh, gh.swapaxes(-1, -2), out=dst)
+        d2 -= np.einsum("kn,kn->n", d2, p2)
+        d2 *= p2
         if q.requires_grad:
             dq = dst.swapaxes(-1, -2) @ kh
             dq *= s
@@ -355,19 +362,30 @@ def shift(a: Tensor, s: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation: x * h with h = (1 + tanh u) / 2 and
+    u = c (x + 0.044715 x^3). Only ``h`` is kept for the backward, where
+    1 - tanh(u)^2 = 4 h (1 - h)."""
     x = a.data
-    x2 = x * x
-    inner = x2 * x
-    inner *= 0.044715
-    inner += x
-    inner *= _GELU_C
-    t = np.tanh(inner, out=inner)
-    out_data = 0.5 * x * (1.0 + t)
+    h = x * x
+    h *= 0.044715
+    h += 1.0
+    h *= x
+    h *= _GELU_C
+    np.tanh(h, out=h)
+    h += 1.0
+    h *= 0.5
+    out_data = x * h
 
     def backward(g: np.ndarray) -> None:
-        d_inner = _GELU_C * (1.0 + 0.134145 * x2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+        # d(x h)/dx = h + x h', h' = 2 h (1 - h) c (1 + 3 * 0.044715 x^2)
+        local = x * x
+        local *= 0.134145
+        local += 1.0
+        local *= x
+        local *= _GELU_C * 2.0
+        local *= h
+        local *= 1.0 - h
+        local += h
         local *= g
         _accumulate(a, local)
 
@@ -393,23 +411,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+    var /= d
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out_data = xhat * gamma.data + beta.data
+    xhat *= inv_std
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def backward(g: np.ndarray) -> None:
+        g2 = g.reshape(-1, d)
         if gamma.requires_grad:
-            _accumulate(gamma, _unbroadcast(g * xhat, gamma.shape))
+            _accumulate(gamma, np.einsum("ni,ni->i", g2, xhat.reshape(-1, d)))
         if beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, beta.shape))
+            _accumulate(beta, g2.sum(axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv_std * (dxhat - m1 - xhat * m2))
+            m2 = np.einsum("...i,...i->...", dxhat, xhat)[..., None]
+            m2 /= d
+            dxhat -= m1
+            dxhat -= xhat * m2
+            dxhat *= inv_std
+            _accumulate(x, dxhat)
 
     return _record("layer_norm", (x, gamma, beta), out_data, backward)
 

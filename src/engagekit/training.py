@@ -130,10 +130,10 @@ class EmaState:
             self.swap()
 
 
-def evaluate_with_ema(model, ema: EmaState, sessions, batch_size: int = 64) -> EvalReport:
+def evaluate_with_ema(model, ema: EmaState, sessions) -> EvalReport:
     """Evaluate using the smoothed weights; live parameters are untouched."""
     with ema.swapped():
-        return evaluate_sessions(model, sessions, batch_size=batch_size)
+        return evaluate_sessions(model, sessions)
 
 
 def clip_gradients(named_params, max_norm: float) -> float:

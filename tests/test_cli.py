@@ -141,6 +141,8 @@ def _set_shape(index: int, shape: list):
                  "truncated manifest", id="manifest_past_end"),
     pytest.param({"patch": lambda raw: raw[:16] + b"\xff" + raw[17:]}, "not UTF-8 JSON",
                  id="manifest_not_utf8"),
+    pytest.param({"patch": lambda raw: raw[:-8] + struct.pack("<d", np.nan)},
+                 "'head.mlp.lin2.bias'", id="nan_weight"),
 ])
 def test_eval_refuses_damaged_checkpoint(tmp_path, capsys, damage, named):
     _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
@@ -257,6 +259,19 @@ def test_predict_refuses_a_directory_of_several_sessions(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error[usage]" in err and f"{train_dir} holds 2 sessions" in err
+
+
+def test_predict_non_finite_output_is_numeric_error(tmp_path, capsys, monkeypatch):
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
+    monkeypatch.setattr(EngagementModel, "predict_windows",
+                        lambda self, batch: np.full(batch.labels.shape, np.nan))
+    code = dispatch(["predict", "--session", str(val_dir), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error[numeric]" in err and "session 'synth-0004-001'" in err
 
 
 def test_gradcheck_breach_is_numeric_error(monkeypatch, capsys):

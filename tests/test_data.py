@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ def test_matrix_bad_magic_and_truncation(tmp_path):
     path.write_bytes(b"\x00" * 7)
     with pytest.raises(DataFormatError):
         read_matrix(path)
+    # A header claiming 2^30 x 2^20 values (4 PiB) is refused by its size
+    # check, before any array is allocated for it.
+    path.write_bytes(b"DATF" + struct.pack("<III", 1, 2**30, 2**20) + b"\x00" * 8)
+    with pytest.raises(DataFormatError, match="offset 16"):
+        read_matrix(path)
 
 
 def test_matrix_rejects_non_finite(tmp_path):
@@ -63,6 +69,15 @@ def test_matrix_rejects_non_finite(tmp_path):
 
 
 # ---------------------------------------------------------------- session store
+
+def test_labels_file_with_two_columns_is_refused(tmp_path):
+    record = synth_session(toy_synth(num_frames=12), 0)
+    save_session(tmp_path / "s0", record)
+    write_matrix(tmp_path / "s0" / "target" / "labels.datf", np.full((12, 2), 0.5))
+    with pytest.raises(DataFormatError, match="2 columns") as info:
+        load_session(tmp_path / "s0")
+    assert str(tmp_path / "s0") in str(info.value)
+
 
 def test_session_round_trip(tmp_path):
     record = synth_session(toy_synth(), 0)

@@ -4,10 +4,12 @@ import pytest
 import engagekit.tensor as T
 from engagekit.data import SynthConfig, synth_session
 from engagekit.metrics import (mse, ccc, ccc_loss, evaluate_sessions, EvalReport,
-                               LabelEchoPredictor, predict_session)
+                               LabelEchoPredictor, predict_session, WINDOWS_PER_BATCH)
+from engagekit.model import EngagementModel
+from engagekit.segmentation import build_window_batch, make_segments, reassemble
 from engagekit.tensor import Tensor, backward, grad_check
 
-from conftest import TOY_FEATURE_DIMS
+from conftest import TOY_FEATURE_DIMS, toy_config
 
 
 def brute_force_ccc(x, y):
@@ -194,6 +196,37 @@ def test_predict_session_clamps_and_covers_timeline():
     series = predict_session(WildPredictor(), session)
     assert series.shape == (50,)
     assert np.all(series == 1.0)
+
+
+def test_predict_session_refuses_non_finite_predictions():
+    class NanPredictor:
+        core_len, context_len = 16, 8
+
+        def predict_windows(self, batch):
+            return np.full(batch.labels.shape, np.nan)
+
+    session = _sessions(1, frames=50)[0]
+    with pytest.raises(T.NonFiniteError, match=session.session_id):
+        predict_session(NanPredictor(), session)
+
+
+def test_predict_session_batches_do_not_change_predictions():
+    model = EngagementModel(toy_config(dtype="float32"), seed=3)
+    session = _sessions(1, frames=47)[0]
+    segments = make_segments(47, model.core_len, model.context_len)
+    assert len(segments) > WINDOWS_PER_BATCH
+    whole = model.predict_windows(build_window_batch(session, segments))
+    expected = np.clip(reassemble(list(whole), segments, 47), 0.0, 1.0)
+    calls = []
+    inner = model.predict_windows
+
+    def counted(batch):
+        calls.append(len(batch.segments))
+        return inner(batch)
+
+    model.predict_windows = counted
+    assert np.array_equal(predict_session(model, session), expected)
+    assert calls == [WINDOWS_PER_BATCH, len(segments) - WINDOWS_PER_BATCH]
 
 
 def test_report_mean_is_arithmetic_average_and_serializes(tmp_path):

@@ -228,6 +228,15 @@ def test_dropout_mask_is_drawn_in_input_dtype(dtype):
     assert np.array_equal(x.grad, (draws >= 0.25).astype(dtype) / dtype(0.75))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_draws_one_uniform_per_unit(dtype):
+    rng = np.random.default_rng(12)
+    dropout(T.constant(np.ones((5, 7), dtype=dtype)), 0.3, True, rng)
+    ref = np.random.default_rng(12)
+    ref.random((5, 7), dtype=dtype)
+    assert rng.random(4).tolist() == ref.random(4).tolist()
+
+
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ValueError):
         dropout(T.constant(np.ones(3)), 1.0, True, np.random.default_rng(0))

@@ -4,7 +4,7 @@ import pytest
 from engagekit.data import SynthConfig, synth_session
 from engagekit.segmentation import (make_segments, window_indices, core_mask,
                                     extract_window, window_labels, reassemble,
-                                    build_window_batch)
+                                    build_window_batch, build_mixed_batch)
 
 from conftest import TOY_FEATURE_DIMS
 
@@ -137,6 +137,30 @@ def test_reassemble_count_mismatch():
     segs = make_segments(10, 4, 0)
     with pytest.raises(ValueError):
         reassemble([np.zeros(4)], segs, 10)
+
+
+def test_reassemble_checks_coverage_not_values():
+    segs = make_segments(10, 4, 1)
+    preds = [np.full(g.window_len, np.nan) for g in segs]
+    assert np.isnan(reassemble(preds, segs, 10)).all()
+    with pytest.raises(ValueError, match="do not tile"):
+        reassemble(preds[:2], segs[:2], 10)
+
+
+def test_mixed_batch_equals_stacked_windows():
+    sessions = [tiny_session(21, seed=1), tiny_session(9, seed=2)]
+    items = [(s, g) for s in sessions for g in make_segments(s.num_frames, 8, 4)]
+    assert items[0][1].left_pad > 0 and items[-1][1].right_pad > 0
+    batch = build_mixed_batch(items)
+    for role in ("target", "partner"):
+        rows = [extract_window(s, g, role) for s, g in items]
+        stacked = getattr(batch, role)
+        assert list(stacked) == list(rows[0])
+        for name, arr in stacked.items():
+            assert arr.dtype == rows[0][name].dtype
+            assert np.array_equal(arr, np.stack([r[name] for r in rows]))
+    assert np.array_equal(batch.labels, np.stack([window_labels(s, g) for s, g in items]))
+    assert np.array_equal(batch.mask, np.stack([core_mask(g) for _, g in items]))
 
 
 def test_window_batch_shapes():

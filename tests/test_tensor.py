@@ -237,6 +237,47 @@ def test_gelu_zero_and_grad():
     assert err < 1e-5
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_and_layer_norm_match_reference_formulas(dtype):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((6, 5, 16)) * 3
+    g = rng.standard_normal(x.shape)
+    gamma, beta = rng.standard_normal(16), rng.standard_normal(16)
+    # float64 references, written straight from the formulas
+    c = math.sqrt(2.0 / math.pi)
+    th = np.tanh(c * (x + 0.044715 * x ** 3))
+    gelu_ref = 0.5 * x * (1.0 + th)
+    dgelu_ref = g * (0.5 * (1.0 + th)
+                     + 0.5 * x * (1.0 - th ** 2) * c * (1.0 + 3 * 0.044715 * x ** 2))
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = centered * inv_std
+    dxhat = g * gamma
+    dx_ref = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+    def close(actual, ref):
+        tol = 64 * np.finfo(dtype).eps
+        assert actual.dtype == dtype
+        np.testing.assert_allclose(actual, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+    xt = Tensor(x.astype(dtype), requires_grad=True)
+    y = T.gelu(xt)
+    close(y.data, gelu_ref)
+    backward(T.tensor_sum(T.mul(y, T.constant(g.astype(dtype)))))
+    close(xt.grad, dgelu_ref)
+
+    xt = Tensor(x.astype(dtype), requires_grad=True)
+    gt = Tensor(gamma.astype(dtype), requires_grad=True)
+    bt = Tensor(beta.astype(dtype), requires_grad=True)
+    y = T.layer_norm(xt, gt, bt)
+    close(y.data, xhat * gamma + beta)
+    backward(T.tensor_sum(T.mul(y, T.constant(g.astype(dtype)))))
+    close(xt.grad, dx_ref)
+    close(gt.grad, (g * xhat).sum(axis=(0, 1)))
+    close(bt.grad, g.sum(axis=(0, 1)))
+
+
 def test_div_grads():
     rng = np.random.default_rng(8)
     x = t(rng.standard_normal(9) + 3.0)
