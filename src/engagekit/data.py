@@ -52,10 +52,13 @@ def write_matrix(path, matrix) -> None:
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise DataFormatError(f"write_matrix: need a 2-d array, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    # One cast (none for float32 input), checked as stored: a finite value
+    # beyond the float32 range would otherwise reach the file as inf.
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(m, dtype="<f4")
+    if payload.size and not np.all(np.isfinite(payload)):
         raise DataFormatError("write_matrix: refusing to store non-finite values")
     rows, cols = m.shape
-    payload = np.ascontiguousarray(m, dtype="<f4").tobytes()
     with open(path, "wb") as f:
         f.write(DATF_MAGIC)
         f.write(struct.pack("<III", DATF_VERSION, rows, cols))
@@ -279,12 +282,16 @@ def _smooth(x: np.ndarray) -> np.ndarray:
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 def _latent_walk(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
-    e = np.empty(cfg.num_frames)
-    e[0] = rng.uniform(0.2, 0.8)
+    x = rng.uniform(0.2, 0.8)
     steps = rng.standard_normal(cfg.num_frames - 1) * LATENT_NOISE
-    for t in range(cfg.num_frames - 1):
-        e[t + 1] = np.clip(e[t] + MEAN_REVERSION * (0.5 - e[t]) + steps[t], 0.0, 1.0)
-    return _smooth(e)
+    # The recurrence is sequential, so it runs per frame; on Python floats
+    # with min/max it runs many times faster than np.clip on numpy scalars,
+    # and both are the same float64 operations, so every value is bitwise equal.
+    e = [x]
+    for step in steps.tolist():
+        x = min(max(x + MEAN_REVERSION * (0.5 - x) + step, 0.0), 1.0)
+        e.append(x)
+    return _smooth(np.array(e))
 
 
 def _readout_matrix(seed: int, role: str, stream: str, dim: int) -> np.ndarray:
@@ -330,8 +337,12 @@ def synth_session(cfg: SynthConfig, session_index: int) -> SessionRecord:
                 observed = latent + distortion_std * nu
             velocity = np.diff(observed, prepend=observed[0])
             drivers = np.stack([observed, velocity, np.ones_like(observed)], axis=1)
-            white = noise_rng.standard_normal((cfg.num_frames, dim)) * cfg.obs_noise
-            streams[name] = drivers @ readout + white
+            # Built in place, noise first: addition commutes, so the bytes
+            # equal readout + noise without its full-size temporaries.
+            stream = noise_rng.standard_normal((cfg.num_frames, dim))
+            stream *= cfg.obs_noise
+            stream += drivers @ readout
+            streams[name] = stream
         roles[role] = RoleData(streams=streams,
                                labels=_quantize(latent, cfg.quantize_levels))
     return SessionRecord(

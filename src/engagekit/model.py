@@ -11,7 +11,8 @@ independently, which gives the ablation arms; a solo baseline variant
 (per-stream encoders + one wide fusion layer) is provided as its own class.
 
 Both architectures share one base, which alone decides the model dtype: the
-blocks build in float64 and it casts every parameter to ``cfg.dtype`` once.
+blocks build in float64 and it casts each top-level block to ``cfg.dtype``
+once, as the block is assigned.
 Its ``forward`` checks the target bundle, runs the architecture's own feature
 path to the fused 5d features, applies the prediction head and clamps to
 [0, 1] in eval mode. ``MODELS`` maps a checkpoint's arch name to its class.
@@ -247,9 +248,9 @@ class PredictionHead(Module):
 
 class _Architecture(Module):
     """The parts both architectures share, and the one owner of the model
-    dtype: ``__init__`` seeds the init generator, calls the subclass's
+    dtype: ``__init__`` seeds the init generator and calls the subclass's
     ``_build(rng)``, which builds its float64 blocks and ``head`` in a fixed
-    draw order, then casts every parameter to ``cfg.dtype`` once. A subclass
+    draw order and passes each through ``_owned`` as it assigns it. A subclass
     also defines ``_features(target, length, partner, train, rng)``, its path
     from the checked target bundle (of ``length`` frames) to the fused
     ``[.., L, 5d]`` features the head reads."""
@@ -257,8 +258,14 @@ class _Architecture(Module):
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
         self._build(np.random.default_rng(seed))
-        for _, p in self.named_parameters():
-            p.data = p.data.astype(cfg.np_dtype, copy=False)
+
+    def _owned(self, module):
+        """Cast a freshly built float64 block to the model dtype, once. Done
+        per block as ``_build`` assigns it, a float32 model holds at most one
+        block in float64 besides itself, not a float64 copy of everything."""
+        for _, p in module.named_parameters():
+            p.data = p.data.astype(self.cfg.np_dtype, copy=False)
+        return module
 
     @property
     def core_len(self) -> int:
@@ -296,17 +303,18 @@ class EngagementModel(_Architecture):
 
     def _build(self, rng: np.random.Generator) -> None:
         cfg = self.cfg
-        self.target_fusion = GroupFusion(cfg, rng)
-        self.partner_fusion = GroupFusion(cfg, rng) if cfg.use_partner_cross else None
+        self.target_fusion = self._owned(GroupFusion(cfg, rng))
+        self.partner_fusion = (self._owned(GroupFusion(cfg, rng))
+                               if cfg.use_partner_cross else None)
         self.audio_cross: list[PartnerCrossLayer] = []
         self.video_cross: list[PartnerCrossLayer] = []
         if cfg.use_partner_cross:
             for _ in range(cfg.cross_layers):
-                self.audio_cross.append(PartnerCrossLayer(
-                    cfg.audio_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult))
-                self.video_cross.append(PartnerCrossLayer(
-                    cfg.video_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult))
-        self.head = PredictionHead(cfg, rng)
+                self.audio_cross.append(self._owned(PartnerCrossLayer(
+                    cfg.audio_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult)))
+                self.video_cross.append(self._owned(PartnerCrossLayer(
+                    cfg.video_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult)))
+        self.head = self._owned(PredictionHead(cfg, rng))
 
     def _features(self, target, length, partner, train, rng) -> Tensor:
         cfg = self.cfg
@@ -335,11 +343,11 @@ class BaselineModel(_Architecture):
 
     def _build(self, rng: np.random.Generator) -> None:
         cfg = self.cfg
-        self.streams = StreamEncoders(cfg, rng)
-        self.fusion = [TransformerEncoderLayer(cfg.head_in_dim, cfg.heads, cfg.dropout,
-                                               rng, cfg.ffn_mult)
+        self.streams = self._owned(StreamEncoders(cfg, rng))
+        self.fusion = [self._owned(TransformerEncoderLayer(cfg.head_in_dim, cfg.heads,
+                                                           cfg.dropout, rng, cfg.ffn_mult))
                        for _ in range(cfg.encoder_depth)]
-        self.head = PredictionHead(cfg, rng)
+        self.head = self._owned(PredictionHead(cfg, rng))
 
     def _features(self, target, length, partner, train, rng) -> Tensor:
         enc = self.streams(target, train, rng)

@@ -6,8 +6,8 @@ standard pre-norm transformer encoder layer. Blocks accept either a single
 window ``[L, D]`` or a batch of windows ``[B, L, D]``.
 
 Blocks take no dtype: they build in float64, as their init draws come, and
-a model casts its parameters once (``model._Architecture``). Dropout's mask
-and the positional table follow the input's dtype.
+a model casts each block's parameters once (``model._Architecture``).
+Dropout's mask and the positional table follow the input's dtype.
 
 Every block is a ``Module``: ``named_parameters`` walks its attributes in the
 order ``__init__`` set them and names each ``Tensor`` by its attribute path.

@@ -252,8 +252,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         return a.transpose(0, 2, 1, 3).reshape(b, length, d)
 
     qs = np.multiply(split(q.data, lq), s, order="C")
-    kh = np.ascontiguousarray(split(k.data, lk))
-    vh = np.ascontiguousarray(split(v.data, lk))
+    kh = split(k.data, lk)      # strided views: BLAS reads them as they are
+    vh = split(v.data, lk)
     # P is held transposed and flattened, keys down the rows: numpy reduces
     # over a leading axis one whole contiguous row per step, several times
     # faster than over a short last axis. ``pt`` is its [B, heads, Lk, Lq] view.

@@ -6,7 +6,8 @@ import pytest
 
 from engagekit.data import (DataFormatError, SynthConfig, SessionRecord, RoleData,
                             write_matrix, read_matrix, save_session, load_session,
-                            load_sessions, synth_session, synth_corpus)
+                            load_sessions, synth_session, synth_corpus,
+                            LATENT_NOISE, MEAN_REVERSION, _latent_walk, _smooth)
 from engagekit.model import STREAMS
 
 from conftest import TOY_FEATURE_DIMS
@@ -66,6 +67,15 @@ def test_matrix_bad_magic_and_truncation(tmp_path):
 def test_matrix_rejects_non_finite(tmp_path):
     with pytest.raises(DataFormatError):
         write_matrix(tmp_path / "nan.datf", np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_matrix_rejects_values_beyond_float32(tmp_path, value):
+    # Finite in float64, infinite once stored as float32.
+    path = tmp_path / "big.datf"
+    with pytest.raises(DataFormatError, match="non-finite"):
+        write_matrix(path, [[value, 1.0]])
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------- session store
@@ -158,6 +168,30 @@ def test_synth_corpus_golden_bytes(tmp_path):
                       + path.read_bytes())
     assert digest.hexdigest() == ("4a625276284af32e29c6338c27ef793e"
                                   "d2716af96e93cbfeaae79ac3b3281f2a")
+
+
+def _reference_latent_walk(rng, num_frames):
+    # The walk as first written, np.clip on one numpy scalar per frame.
+    # Returns the smoothed walk and the raw one.
+    e = np.empty(num_frames)
+    e[0] = rng.uniform(0.2, 0.8)
+    steps = rng.standard_normal(num_frames - 1) * LATENT_NOISE
+    for t in range(num_frames - 1):
+        e[t + 1] = np.clip(e[t] + MEAN_REVERSION * (0.5 - e[t]) + steps[t], 0.0, 1.0)
+    return _smooth(e), e
+
+
+@pytest.mark.parametrize("num_frames", [1, 2, 120, 5000])
+def test_latent_walk_equals_np_clip_reference(num_frames):
+    for seed in range(3):
+        cfg = toy_synth(num_frames=num_frames, seed=seed)
+        expected, raw = _reference_latent_walk(np.random.default_rng(seed), num_frames)
+        got = _latent_walk(np.random.default_rng(seed), cfg)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        if num_frames == 5000:
+            # the clip is exercised, not only the free recurrence
+            assert np.any((raw == 0.0) | (raw == 1.0))
 
 
 def test_synth_labels_in_range_and_smooth():
