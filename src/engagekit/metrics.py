@@ -5,8 +5,10 @@ CCC follows Lin's definition with population (1/n) moments:
     ccc(x, y) = 2 cov(x, y) / (var(x) + var(y) + (mean(x) - mean(y))^2)
 
 The same moments are used in the differentiable CCC loss so metric and loss
-agree. Session evaluation runs the window pipeline (segment, predict, stitch
-the cores, clamp) and scores each session's full timeline.
+agree. Session evaluation cuts each session into windows, predicts their
+cores (a model projects each stream once per session and computes core
+rows only at the end; see ``predict_session``), stitches the cores, clamps
+and scores the session's full timeline.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .segmentation import make_segments, build_window_batch, reassemble
+from .segmentation import make_segments, build_window_batch
 from .tensor import Tensor
 
 
@@ -156,27 +158,45 @@ class LabelEchoPredictor:
         return np.asarray(batch.labels)
 
 
-# Windows per predict_windows call. A window's output does not depend on the
-# other windows of its batch, so this changes no prediction; small batches
-# keep the gather and the forward's temporaries small.
-WINDOWS_PER_BATCH = 8
+# Windows per forward. A window's output does not depend on the other
+# windows of its batch, so this changes no prediction; small batches keep
+# the forward's temporaries small.
+WINDOWS_PER_BATCH = 16
 
 
 def predict_session(model, session) -> np.ndarray:
-    """Segment a session, run the model over batches of WINDOWS_PER_BATCH
-    windows, stitch the cores back together, clamp to the label range.
-    Raises NonFiniteError naming the session if a batch's output is not
-    finite (damaged weights, say)."""
-    segments = make_segments(session.num_frames, model.core_len, model.context_len)
-    preds: list[np.ndarray] = []
-    for lo in range(0, len(segments), WINDOWS_PER_BATCH):
-        chunk = segments[lo:lo + WINDOWS_PER_BATCH]
-        out = model.predict_windows(build_window_batch(session, chunk))
-        if not np.all(np.isfinite(out)):
-            raise T.NonFiniteError(f"session '{session.session_id}': non-finite predictions "
-                                   f"in windows {lo}..{lo + len(chunk) - 1}")
-        preds.extend(out)
-    series = reassemble(preds, segments, session.num_frames)
+    """Score a session's T frames: cut it into windows, run the model over
+    batches of WINDOWS_PER_BATCH windows, stitch the window cores back
+    together, clamp to the label range.
+
+    A model (``project_session``) projects each role's streams once for the
+    whole session, cuts each batch's windows from the projected timeline and
+    computes only their core rows at the end; any other predictor scores
+    gathered ``WindowBatch``es with ``predict_windows``. Both give the same
+    values. Raises ValueError naming the session if it has no frames, and
+    NonFiniteError naming the session if a batch's output is not finite
+    (damaged weights, say)."""
+    try:
+        segments = make_segments(session.num_frames, model.core_len, model.context_len)
+    except ValueError as exc:
+        raise ValueError(f"session '{session.session_id}': {exc}") from None
+    projected = model.project_session(session) if hasattr(model, "project_session") else None
+    core = slice(model.context_len, model.context_len + model.core_len)
+    cores: list[np.ndarray] = []
+    with T.no_grad():
+        for lo in range(0, len(segments), WINDOWS_PER_BATCH):
+            hi = min(lo + WINDOWS_PER_BATCH, len(segments))
+            if projected is None:
+                batch = build_window_batch(session, segments[lo:hi])
+                out = model.predict_windows(batch)[:, core]
+            else:
+                out = model.forward(*projected.windows(lo, hi), train=False).data[..., 0]
+            if not np.all(np.isfinite(out)):
+                raise T.NonFiniteError(f"session '{session.session_id}': non-finite "
+                                       f"predictions in windows {lo}..{hi - 1}")
+            cores.append(out)
+    # The cores tile [0, n * core); the last one runs past T by the padding.
+    series = np.concatenate(cores, axis=None, dtype=np.float64)[:session.num_frames]
     return np.clip(series, 0.0, 1.0)
 
 

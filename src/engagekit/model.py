@@ -17,6 +17,14 @@ Its ``forward`` checks the target bundle, runs the architecture's own feature
 path to the fused 5d features, applies the prediction head and clamps to
 [0, 1] in eval mode. ``MODELS`` maps a checkpoint's arch name to its class.
 
+Session scoring has its own path (``project_session``). A stream's input
+projection is frame-local, so each role's streams are projected once over
+the session's edge-padded timeline and every window is a view of it, where
+training gathers raw windows and projects them (the weight gradient needs
+the raw rows). Only each window's core rows go through the last partner
+cross layer and the head, since stitching keeps nothing else; all
+predictions are bitwise those of the window path.
+
 Parameters are named by attribute path (``nn.Module.named_parameters``), such
 as ``audio_cross.0.ffn.lin1.bias``; the target and the partner each have their
 own fusion, ``target_fusion.*`` and ``partner_fusion.*``.
@@ -30,6 +38,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .nn import (Linear, LayerNorm, MultiHeadAttention, FeedForward, Module,
@@ -146,6 +155,63 @@ def _check_bundle(bundle: dict[str, Tensor], cfg: ModelConfig, who: str) -> int:
     return length
 
 
+def _rows(x: Tensor, keep: slice) -> Tensor:
+    """Window rows ``keep`` of ``[.., L, D]`` features. The cut records no
+    gradient, so only no-grad scoring keeps fewer than all rows."""
+    return x if keep == slice(None) else T.constant(x.data[..., keep, :])
+
+
+@dataclass
+class ProjectedWindows:
+    """A batch of one role's windows cut from its projected session timeline
+    (``ProjectedSession``): per stream a ``[B, L, d]`` tensor that has been
+    through the input projection but not the positional add. ``forward``
+    scores only the window rows ``keep``."""
+
+    streams: dict[str, Tensor]
+    keep: slice
+
+
+class ProjectedSession:
+    """One session's streams, each projected once per frame and role over
+    the edge-padded timeline of frames [-context, n * core + context) of its
+    n windows; the gemm always has at least L rows. Window k is timeline
+    rows [k * core, k * core + L), so ``windows`` cuts a batch as views of
+    those rows, with no gather. A role the session lacks, or the model does
+    not read, gives ``None``. Raises ShapeError naming the role and stream
+    whose dim differs from the config."""
+
+    def __init__(self, cfg: ModelConfig, encoders: dict, session):
+        num_windows = -(-session.num_frames // cfg.core_len)
+        frames = np.arange(-cfg.context_len, num_windows * cfg.core_len + cfg.context_len)
+        self.keep = slice(cfg.context_len, cfg.context_len + cfg.core_len)
+        self.roles: dict[str, dict[str, np.ndarray]] = {}
+        for role, encoder in encoders.items():
+            if role not in session.roles:
+                continue
+            streams = session.roles[role].streams
+            _check_bundle(streams, cfg, role)
+            self.roles[role] = {}
+            for s in STREAMS:
+                # mode="clip" replicates the edge frames, as window_indices does
+                raw = np.take(streams[s], frames, axis=0, mode="clip").astype(
+                    cfg.np_dtype, copy=False)
+                with T.no_grad():
+                    timeline = encoder.project(s, T.constant(raw))
+                self.roles[role][s] = sliding_window_view(
+                    timeline.data, cfg.window_len, axis=0).swapaxes(1, 2)[::cfg.core_len]
+
+    def windows(self, lo: int, hi: int) -> tuple[ProjectedWindows, ProjectedWindows | None]:
+        """Windows lo..hi-1 as (target, partner)."""
+        def cut(role):
+            if role not in self.roles:
+                return None
+            return ProjectedWindows({s: T.constant(view[lo:hi])
+                                     for s, view in self.roles[role].items()}, self.keep)
+
+        return cut("target"), cut("partner")
+
+
 class StreamEncoders(Module):
     """Per-stream linear projection to d, sinusoidal positional add, then a
     stack of standard encoder layers per stream."""
@@ -159,14 +225,29 @@ class StreamEncoders(Module):
                        for s in STREAMS}
         self.positional = PositionalEncoding(cfg.window_len, d)
 
-    def __call__(self, bundle: dict[str, Tensor], train: bool, rng) -> dict[str, Tensor]:
+    def project(self, stream: str, x: Tensor) -> Tensor:
+        """One stream's input projection to d. It is frame-local (the
+        positional table is added after it), so it applies to windows and to
+        a whole session timeline alike."""
+        return self.proj[stream](x)
+
+    def encode(self, projected: dict[str, Tensor], train: bool, rng) -> dict[str, Tensor]:
+        """Positional add and the encoder stack, per stream, over projected
+        ``[.., L, d]`` windows."""
         out = {}
         for s in STREAMS:
-            x = self.positional(self.proj[s](bundle[s]))
+            x = self.positional(projected[s])
             for layer in self.layers[s]:
                 x = layer(x, train, rng)
             out[s] = x
         return out
+
+    def __call__(self, bundle, train: bool, rng) -> dict[str, Tensor]:
+        """Raw stream bundles are projected here; ``ProjectedWindows`` were
+        projected once for their whole session."""
+        if isinstance(bundle, ProjectedWindows):
+            return self.encode(bundle.streams, train, rng)
+        return self.encode({s: self.project(s, bundle[s]) for s in STREAMS}, train, rng)
 
 
 class GroupFusion(Module):
@@ -209,6 +290,10 @@ class PartnerCrossLayer(Module):
     The query is deliberately left un-normalized and the first residual adds
     the raw target, so the layer is not a vanilla pre-norm block. It holds
     the same parameters as a ``TransformerEncoderLayer`` of its width.
+
+    Every output row comes from one query row, so ``keep`` (a slice of the
+    window rows) computes only those rows; keys and values still span the
+    whole window. Only no-grad scoring keeps fewer than all rows.
     """
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
@@ -219,12 +304,12 @@ class PartnerCrossLayer(Module):
         self.ffn = FeedForward(dim, ffn_mult * dim, dim, dropout_rate, rng)
 
     def __call__(self, target: Tensor, partner: Tensor, train: bool = False,
-                 rng=None) -> Tensor:
+                 rng=None, keep: slice = slice(None)) -> Tensor:
         if target.shape != partner.shape:
             raise T.ShapeError(f"cross layer: target {target.shape} and partner "
                                f"{partner.shape} must match")
         kv = self.norm_kv(target)
-        mid = T.add(self.attn(partner, kv, train, rng), target)
+        mid = T.add(self.attn(_rows(partner, keep), kv, train, rng), _rows(target, keep))
         return T.add(mid, self.ffn(self.norm_ffn(mid), train, rng))
 
 
@@ -251,9 +336,11 @@ class _Architecture(Module):
     dtype: ``__init__`` seeds the init generator and calls the subclass's
     ``_build(rng)``, which builds its float64 blocks and ``head`` in a fixed
     draw order and passes each through ``_owned`` as it assigns it. A subclass
-    also defines ``_features(target, length, partner, train, rng)``, its path
-    from the checked target bundle (of ``length`` frames) to the fused
-    ``[.., L, 5d]`` features the head reads."""
+    also defines ``_features(target, length, partner, train, rng, keep)``, its
+    path from the checked target bundle (of ``length`` frames) to the fused
+    ``[.., L, 5d]`` features the head reads, cut to the window rows ``keep``
+    as late as its layers allow, and ``_stream_encoders()``, the
+    ``StreamEncoders`` of each role it reads."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
@@ -280,13 +367,22 @@ class _Architecture(Module):
         """Bundles of ``[L, dim]`` or ``[B, L, dim]`` arrays in, ``[.., L, 1]``
         out. In eval mode (train=False) the output is clamped to the label
         range [0, 1]; in train mode it is left free so gradients survive
-        saturation."""
-        target = as_bundle(target, self.cfg.np_dtype)
-        length = _check_bundle(target, self.cfg, "target")
-        y = self.head(self._features(target, length, partner, train, rng), train, rng)
+        saturation. Session scoring passes the ``ProjectedWindows`` of a
+        ``project_session`` instead, in eval mode under ``no_grad``; the
+        output then holds only each window's ``keep`` rows."""
+        if isinstance(target, ProjectedWindows):
+            length, keep = None, target.keep
+        else:
+            target = as_bundle(target, self.cfg.np_dtype)
+            length, keep = _check_bundle(target, self.cfg, "target"), slice(None)
+        y = self.head(self._features(target, length, partner, train, rng, keep), train, rng)
         if not train:
             y = T.constant(np.clip(y.data, 0.0, 1.0))
         return y
+
+    def project_session(self, session) -> ProjectedSession:
+        """Project each role's streams once for the whole session."""
+        return ProjectedSession(self.cfg, self._stream_encoders(), session)
 
     def predict_windows(self, batch) -> np.ndarray:
         """Eval-mode forward over a WindowBatch; returns clamped [B, L]."""
@@ -316,22 +412,32 @@ class EngagementModel(_Architecture):
                     cfg.video_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult)))
         self.head = self._owned(PredictionHead(cfg, rng))
 
-    def _features(self, target, length, partner, train, rng) -> Tensor:
+    def _stream_encoders(self) -> dict[str, StreamEncoders]:
+        if not self.cfg.use_partner_cross:
+            return {"target": self.target_fusion.streams}
+        return {"target": self.target_fusion.streams, "partner": self.partner_fusion.streams}
+
+    def _features(self, target, length, partner, train, rng, keep) -> Tensor:
         cfg = self.cfg
         audio, video = self.target_fusion(target, train, rng)
-        if cfg.use_partner_cross:
-            if partner is None:
-                raise ValueError("model was built with partner cross-attention; "
-                                 "a partner bundle is required")
+        if not cfg.use_partner_cross:
+            return _rows(T.concat([audio, video], axis=-1), keep)
+        if partner is None:
+            raise ValueError("model was built with partner cross-attention; "
+                             "a partner bundle is required")
+        if not isinstance(partner, ProjectedWindows):
             partner = as_bundle(partner, cfg.np_dtype)
             len_p = _check_bundle(partner, cfg, "partner")
             if len_p != length:
                 raise T.ShapeError(f"target length {length} != partner length {len_p}")
-            p_audio, p_video = self.partner_fusion(partner, train, rng)
-            for layer in self.audio_cross:
-                audio = layer(audio, p_audio, train, rng)
-            for layer in self.video_cross:
-                video = layer(video, p_video, train, rng)
+        p_audio, p_video = self.partner_fusion(partner, train, rng)
+        # Only the last layer's output reaches the head, so only it keeps
+        # fewer rows; the ones before feed its keys and values.
+        rows = [slice(None)] * (cfg.cross_layers - 1) + [keep]
+        for layer, r in zip(self.audio_cross, rows):
+            audio = layer(audio, p_audio, train, rng, r)
+        for layer, r in zip(self.video_cross, rows):
+            video = layer(video, p_video, train, rng, r)
         return T.concat([audio, video], axis=-1)
 
 
@@ -349,12 +455,15 @@ class BaselineModel(_Architecture):
                        for _ in range(cfg.encoder_depth)]
         self.head = self._owned(PredictionHead(cfg, rng))
 
-    def _features(self, target, length, partner, train, rng) -> Tensor:
+    def _stream_encoders(self) -> dict[str, StreamEncoders]:
+        return {"target": self.streams}
+
+    def _features(self, target, length, partner, train, rng, keep) -> Tensor:
         enc = self.streams(target, train, rng)
         fused = T.concat([enc[s] for s in STREAMS], axis=-1)
         for layer in self.fusion:
             fused = layer(fused, train, rng)
-        return fused
+        return _rows(fused, keep)
 
 
 MODELS = {cls.arch: cls for cls in (EngagementModel, BaselineModel)}

@@ -8,19 +8,21 @@ import pytest
 
 import engagekit.cli as cli
 from engagekit.cli import dispatch, parse_config_file, resolve_configs, CliUsageError
-from engagekit.data import SynthConfig, synth_corpus, synth_session
+from engagekit.data import SynthConfig, save_session, synth_corpus, synth_session
 from engagekit.model import EngagementModel, ModelConfig, param_count, save_checkpoint
+from engagekit.tensor import Tensor
 from engagekit.training import TrainConfig
 
 from conftest import TOY_FEATURE_DIMS, toy_config, damaged_checkpoint
 
 
-def synth_dirs(tmp_path, frames=120, sessions=2):
+def synth_dirs(tmp_path, frames=120, sessions=2, feature_dims=None):
     train_dir = tmp_path / "train"
     val_dir = tmp_path / "val"
-    cfg = SynthConfig(sessions=sessions, num_frames=frames, seed=4)
+    dims = {} if feature_dims is None else {"feature_dims": dict(feature_dims)}
+    cfg = SynthConfig(sessions=sessions, num_frames=frames, seed=4, **dims)
     synth_corpus(cfg, train_dir)
-    synth_corpus(SynthConfig(sessions=1, num_frames=frames, seed=4), val_dir,
+    synth_corpus(SynthConfig(sessions=1, num_frames=frames, seed=4, **dims), val_dir,
                  start_index=sessions)
     return train_dir, val_dir
 
@@ -262,16 +264,66 @@ def test_predict_refuses_a_directory_of_several_sessions(tmp_path, capsys):
 
 
 def test_predict_non_finite_output_is_numeric_error(tmp_path, capsys, monkeypatch):
-    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1, feature_dims=TOY_FEATURE_DIMS)
     ckpt = tmp_path / "m.ckpt"
     save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
-    monkeypatch.setattr(EngagementModel, "predict_windows",
-                        lambda self, batch: np.full(batch.labels.shape, np.nan))
+    forward = EngagementModel.forward
+
+    def nan_forward(self, *args, **kwargs):
+        return Tensor(np.full(forward(self, *args, **kwargs).shape, np.nan))
+
+    monkeypatch.setattr(EngagementModel, "forward", nan_forward)
     code = dispatch(["predict", "--session", str(val_dir), "--ckpt", str(ckpt),
                      "--out", str(tmp_path / "p.csv")])
     assert code == 3
     err = capsys.readouterr().err
     assert "error[numeric]" in err and "session 'synth-0004-001'" in err
+
+
+def test_eval_refuses_a_session_without_partner_for_a_dialogue_checkpoint(tmp_path, capsys):
+    session = synth_session(SynthConfig(sessions=1, num_frames=30, seed=4,
+                                        feature_dims=dict(TOY_FEATURE_DIMS)), 0)
+    del session.roles["partner"]
+    save_session(tmp_path / "solo", session)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
+    assert dispatch(["eval", "--data", str(tmp_path / "solo"), "--ckpt", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "error[data]" in err and "a partner bundle is required" in err
+    assert "Traceback" not in err
+
+
+def test_eval_refuses_stream_dims_unlike_the_checkpoint(tmp_path, capsys):
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)  # full-width streams
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
+    assert dispatch(["eval", "--data", str(val_dir), "--ckpt", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert ("error[data]: target stream 'opensmile' has dim 88, config expects "
+            f"{TOY_FEATURE_DIMS['opensmile']}") in err
+
+
+@pytest.mark.parametrize("predictor", ["model", "oracle"])
+def test_eval_names_the_session_without_frames(tmp_path, capsys, predictor):
+    corpus = tmp_path / "corpus"
+    synth_corpus(SynthConfig(sessions=1, num_frames=30, seed=4,
+                             feature_dims=dict(TOY_FEATURE_DIMS)), corpus)
+    empty = synth_session(SynthConfig(sessions=1, num_frames=30, seed=4,
+                                      feature_dims=dict(TOY_FEATURE_DIMS)), 1)
+    empty.num_frames = 0
+    for role in empty.roles.values():
+        role.streams = {name: arr[:0] for name, arr in role.streams.items()}
+        role.labels = role.labels[:0] if role.labels is not None else None
+    save_session(corpus / "session_empty", empty)
+    flags = ["--ckpt", "oracle", "--preset", "desk"]
+    if predictor == "model":
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
+        flags = ["--ckpt", str(ckpt)]
+    assert dispatch(["eval", "--data", str(corpus)] + flags) == 2
+    err = capsys.readouterr().err
+    assert (f"error[data]: session '{empty.session_id}': num_frames must be >= 1, "
+            f"got 0") in err
 
 
 def test_gradcheck_breach_is_numeric_error(monkeypatch, capsys):

@@ -5,7 +5,7 @@ import engagekit.tensor as T
 from engagekit.data import SynthConfig, synth_session
 from engagekit.metrics import (mse, ccc, ccc_loss, evaluate_sessions, EvalReport,
                                LabelEchoPredictor, predict_session, WINDOWS_PER_BATCH)
-from engagekit.model import EngagementModel
+from engagekit.model import BaselineModel, DEFAULT_FEATURE_DIMS, EngagementModel, ModelConfig
 from engagekit.segmentation import build_window_batch, make_segments, reassemble
 from engagekit.tensor import Tensor, backward, grad_check
 
@@ -211,22 +211,33 @@ def test_predict_session_refuses_non_finite_predictions():
 
 
 def test_predict_session_batches_do_not_change_predictions():
-    model = EngagementModel(toy_config(dtype="float32"), seed=3)
-    session = _sessions(1, frames=47)[0]
-    segments = make_segments(47, model.core_len, model.context_len)
-    assert len(segments) > WINDOWS_PER_BATCH
-    whole = model.predict_windows(build_window_batch(session, segments))
-    expected = np.clip(reassemble(list(whole), segments, 47), 0.0, 1.0)
-    calls = []
-    inner = model.predict_windows
-
-    def counted(batch):
-        calls.append(len(batch.segments))
-        return inner(batch)
-
-    model.predict_windows = counted
-    assert np.array_equal(predict_session(model, session), expected)
-    assert calls == [WINDOWS_PER_BATCH, len(segments) - WINDOWS_PER_BATCH]
+    """The session path (one projection per frame and role, windows cut from
+    the projected timeline, core rows only through the last cross layer and
+    the head, batches of WINDOWS_PER_BATCH) equals one ``predict_windows``
+    call over all the gathered windows, stitched, bit for bit."""
+    desk = dict(model_dim=32, heads=8, core_len=32, context_len=16, dropout=0.1,
+                feature_dims=dict(DEFAULT_FEATURE_DIMS), dtype="float32")
+    arms = [(EngagementModel, toy_config(dtype="float32")),
+            (EngagementModel, toy_config(dtype="float64")),
+            (EngagementModel, toy_config(dtype="float32", cross_layers=2)),
+            (EngagementModel, toy_config(dtype="float64", cross_layers=2)),
+            (EngagementModel, toy_config(dtype="float32", use_partner_cross=False)),
+            (BaselineModel, toy_config(dtype="float32")),
+            (BaselineModel, toy_config(dtype="float64")),
+            (EngagementModel, ModelConfig(**desk))]
+    for arch, cfg in arms:
+        model = arch(cfg, seed=3)
+        core, length = cfg.core_len, cfg.window_len
+        many = 2 * WINDOWS_PER_BATCH * core + 1        # three batches
+        for frames in (1, core - 1, length - 1, length, length + 1, many):
+            synth = SynthConfig(sessions=1, num_frames=frames, seed=frames,
+                                feature_dims=dict(cfg.feature_dims))
+            session = synth_session(synth, 0)
+            segments = make_segments(frames, core, cfg.context_len)
+            whole = model.predict_windows(build_window_batch(session, segments))
+            expected = np.clip(reassemble(list(whole), segments, frames), 0.0, 1.0)
+            assert np.array_equal(predict_session(model, session), expected), \
+                (arch.arch, cfg.dtype, cfg.cross_layers, cfg.use_partner_cross, frames)
 
 
 def test_report_mean_is_arithmetic_average_and_serializes(tmp_path):
