@@ -155,6 +155,9 @@ def _check_bundle(bundle: dict[str, Tensor], cfg: ModelConfig, who: str) -> int:
     return length
 
 
+PARTNER_REQUIRED = "model was built with partner cross-attention; a partner bundle is required"
+
+
 def _rows(x: Tensor, keep: slice) -> Tensor:
     """Window rows ``keep`` of ``[.., L, D]`` features. The cut records no
     gradient, so only no-grad scoring keeps fewer than all rows."""
@@ -380,6 +383,11 @@ class _Architecture(Module):
             y = T.constant(np.clip(y.data, 0.0, 1.0))
         return y
 
+    @property
+    def roles(self) -> tuple[str, ...]:
+        """The roles whose streams the model reads."""
+        return tuple(self._stream_encoders())
+
     def project_session(self, session) -> ProjectedSession:
         """Project each role's streams once for the whole session."""
         return ProjectedSession(self.cfg, self._stream_encoders(), session)
@@ -423,8 +431,7 @@ class EngagementModel(_Architecture):
         if not cfg.use_partner_cross:
             return _rows(T.concat([audio, video], axis=-1), keep)
         if partner is None:
-            raise ValueError("model was built with partner cross-attention; "
-                             "a partner bundle is required")
+            raise ValueError(PARTNER_REQUIRED)
         if not isinstance(partner, ProjectedWindows):
             partner = as_bundle(partner, cfg.np_dtype)
             len_p = _check_bundle(partner, cfg, "partner")

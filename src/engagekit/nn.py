@@ -7,7 +7,7 @@ window ``[L, D]`` or a batch of windows ``[B, L, D]``.
 
 Blocks take no dtype: they build in float64, as their init draws come, and
 a model casts each block's parameters once (``model._Architecture``).
-Dropout's mask and the positional table follow the input's dtype.
+Dropout's draw and scale and the positional table follow the input's dtype.
 
 Every block is a ``Module``: ``named_parameters`` walks its attributes in the
 order ``__init__`` set them and names each ``Tensor`` by its attribute path.
@@ -62,19 +62,20 @@ class Module:
 
 def dropout(x: Tensor, rate: float, train: bool,
             rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-rate); identity in eval."""
+    """Inverted dropout: scales kept units by 1/(1-rate); identity in eval.
+
+    A unit is kept where a uniform draw in ``x``'s dtype is ``>= rate``, one
+    draw per unit. The scale is 1/(1-rate) in that dtype, and ``T.dropout``
+    keeps the mask for the backward as booleans, one byte per unit."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    # One buffer holds the draw, then the keep mask, then the mask scaled by
-    # 1/(1-rate): no boolean or cast temporaries.
-    mask = rng.random(x.shape, dtype=x.dtype)
-    np.greater_equal(mask, rate, out=mask, casting="unsafe")
-    mask /= 1.0 - rate
-    return T.mul(x, T.constant(mask))
+    keep = rng.random(x.shape, dtype=x.dtype) >= rate
+    dt = x.dtype.type
+    return T.dropout(x, keep, dt(1.0) / dt(1.0 - rate))
 
 
 class Linear(Module):

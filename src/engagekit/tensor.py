@@ -5,11 +5,30 @@ nodes the network is built from, ``linear`` (an affine map over any leading
 dims as one gemm) and ``attention`` (multi-head scaled dot-product attention,
 heads split and merged inside the op); matrix products with broadcastable
 batch dims, softmax, layer norm, pointwise ops, concat, reshape/transpose,
-and scalar reductions. A thread-local tape records the forward pass in
-creation order (which is already a topological order) as ``(output,
-backward_fn)`` pairs; ``backward`` consumes it, popping one pair at a time
-and releasing that output's gradient, so activations and intermediate
-gradients are freed during the sweep and only leaf tensors keep ``.grad``.
+and scalar reductions, plus inverted dropout as one node.
+
+A thread-local tape records the forward pass in creation order (which is
+already a topological order) as ``(slot, backward_fn)`` pairs. A slot is
+where a tensor's gradient accumulates: a leaf is its own slot, and an op
+output gets a small ``_Slot`` (its own ``.grad`` stays ``None``).
+``backward`` consumes the tape, popping one pair at a time and releasing
+that slot's gradient, so intermediate gradients are freed during the sweep
+and only leaf tensors keep ``.grad``.
+
+The tape holds no tensor: each ``backward_fn`` captures its inputs' slots
+and only the arrays its formula reads, so an activation that no backward
+reads is freed as soon as the forward drops it. Per op, it keeps:
+
+- ``linear``: the flattened input if the weight needs a gradient, the weight if the input does;
+- ``matmul``, ``mul``: each operand only if the other one needs a gradient;
+- ``div``: the divisor, and the dividend if the divisor needs a gradient;
+- ``attention``: the scaled queries, the key and value views, and ``P``;
+- ``layer_norm``: x̂, 1/σ and gamma;
+- ``gelu``: its input and ``h``;
+- ``softmax``: its output;
+- ``dropout``: the boolean keep mask (one byte per unit) and the scale;
+- ``add``, ``sub``, ``scale``, ``shift``, ``concat``, ``reshape``,
+  ``transpose``, ``sum``: no array.
 
 Float64 is the default dtype so finite-difference checks are meaningful;
 float32 arrays pass through unchanged for training throughput.
@@ -40,7 +59,7 @@ class GradCheckError(ArithmeticError):
 
 class _TapeState(threading.local):
     def __init__(self):
-        self.nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self.nodes: list[tuple[Tensor | _Slot, Callable[[np.ndarray], None]]] = []
         self.enabled = True
         self.nan_checks = False
 
@@ -78,7 +97,7 @@ class no_grad:
 class Tensor:
     """Dense n-dimensional float array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -87,6 +106,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._slot: _Slot | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -112,30 +132,53 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # Ownership rule: `backward` releases each output's gradient before its
+class _Slot:
+    """The gradient of one op output, held apart from the output so that
+    the tape and later backward_fns never keep the output's ``data``."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
+def _slot_of(t: Tensor) -> Tensor | _Slot | None:
+    """Where ``t``'s gradient goes: ``None`` if it needs none, ``t`` itself
+    for a leaf, else the slot its op recorded. A leaf never refers to
+    itself, so a dropped leaf is freed by its reference count at once."""
+    if not t.requires_grad:
+        return None
+    return t if t._slot is None else t._slot
+
+
+def _accumulate(slot: Tensor | _Slot | None, g: np.ndarray) -> None:
+    # Ownership rule: `backward` releases each slot's gradient before its
     # backward_fn runs, so a backward_fn owns `g` and every array it derives
-    # from it. `t` adopts what it is handed and may later add into it in
+    # from it. `slot` adopts what it is handed and may later add into it in
     # place; a backward_fn therefore hands one buffer (or overlapping views
     # of it) to at most one input, and never a read-only array.
-    if not t.requires_grad:
+    if slot is None:
         return
-    if t.grad is None:
-        t.grad = g
+    if slot.grad is None:
+        slot.grad = g
     else:
-        t.grad += g
+        slot.grad += g
 
 
-def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
+def _record(op: str, slots: tuple, out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap ``out_data`` as the output of ``op`` whose inputs have the
+    gradient ``slots``; tape ``backward_fn`` if any of them needs one."""
     if _STATE.nan_checks and not np.all(np.isfinite(out_data)):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out.requires_grad = _STATE.enabled and any(t.requires_grad for t in inputs)
+    out._slot = None
+    out.requires_grad = _STATE.enabled and any(s is not None for s in slots)
     if out.requires_grad:
-        _STATE.nodes.append((out, backward_fn))
+        out._slot = _Slot()
+        _STATE.nodes.append((out._slot, backward_fn))
     return out
 
 
@@ -177,16 +220,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree for shapes {a.shape} and {b.shape}")
     out_data = np.matmul(a.data, b.data)
+    sa, sb = _slot_of(a), _slot_of(b)
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if sb is not None else None
+    b_data = b.data if sa is not None else None
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(da, a.shape))
-        if b.requires_grad:
-            db = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(db, b.shape))
+        if sa is not None:
+            da = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            _accumulate(sa, _unbroadcast(da, a_shape))
+        if sb is not None:
+            db = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            _accumulate(sb, _unbroadcast(db, b_shape))
 
-    return _record("matmul", (a, b), out_data, backward)
+    return _record("matmul", (sa, sb), out_data, backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -194,7 +241,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     The leading dims are flattened, so the weight gradient is one gemm over
     all rows rather than one per batch item followed by a sum; ``x``'s
-    gradient is formed only when ``x`` requires it.
+    gradient is formed only when ``x`` requires it, and ``x`` is kept for
+    the backward only when ``w`` requires a gradient.
     """
     n_in, n_out = w.shape
     if x.shape[-1] != n_in:
@@ -205,19 +253,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out2 = x2 @ w.data
     if b is not None:
         out2 += b.data
-    out_shape = x.shape[:-1] + (n_out,)
+    x_shape = x.shape
+    sx, sw, sb = _slot_of(x), _slot_of(w), None if b is None else _slot_of(b)
+    x2 = x2 if sw is not None else None
+    w_data = w.data if sx is not None else None
 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(-1, n_out)
-        if x.requires_grad:
-            _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            _accumulate(w, x2.T @ g2)
-        if b is not None and b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
+        if sx is not None:
+            _accumulate(sx, (g2 @ w_data.T).reshape(x_shape))
+        if sw is not None:
+            _accumulate(sw, x2.T @ g2)
+        if sb is not None:
+            _accumulate(sb, g2.sum(axis=0))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record("linear", inputs, out2.reshape(out_shape), backward)
+    return _record("linear", (sx, sw, sb), out2.reshape(x_shape[:-1] + (n_out,)), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -264,107 +314,122 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     np.exp(p2, out=p2)
     p2 /= p2.sum(axis=0)
     out_data = merge(pt.swapaxes(-1, -2) @ vh, lq)
+    sq, sk, sv = _slot_of(q), _slot_of(k), _slot_of(v)
 
     def backward(g: np.ndarray) -> None:
         gh = split(g, lq)
-        if v.requires_grad:
-            _accumulate(v, merge(pt @ gh, lk))
-        if not (q.requires_grad or k.requires_grad):
+        if sv is not None:
+            _accumulate(sv, merge(pt @ gh, lk))
+        if sq is None and sk is None:
             return
         d2 = np.empty_like(p2)
         dst = d2.reshape(lk, b, heads, lq).transpose(1, 2, 0, 3)
         np.matmul(vh, gh.swapaxes(-1, -2), out=dst)
         d2 -= np.einsum("kn,kn->n", d2, p2)
         d2 *= p2
-        if q.requires_grad:
+        if sq is not None:
             dq = dst.swapaxes(-1, -2) @ kh
             dq *= s
-            _accumulate(q, merge(dq, lq))
-        if k.requires_grad:
-            _accumulate(k, merge(dst @ qs, lk))
+            _accumulate(sq, merge(dq, lq))
+        if sk is not None:
+            _accumulate(sk, merge(dst @ qs, lk))
 
-    return _record("attention", (q, k, v), out_data, backward), pt.swapaxes(-1, -2)
+    return _record("attention", (sq, sk, sv), out_data, backward), pt.swapaxes(-1, -2)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_broadcast("add", a, b)
     out_data = a.data + b.data
+    sa, sb = _slot_of(a), _slot_of(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
-            # With equal shapes `a` may have adopted `g` itself.
-            _accumulate(b, g.copy() if gb is g and a.grad is g else gb)
+        if sa is not None:
+            _accumulate(sa, _unbroadcast(g, a_shape))
+        if sb is not None:
+            gb = _unbroadcast(g, b_shape)
+            # With equal shapes `a`'s slot may have adopted `g` itself.
+            _accumulate(sb, g.copy() if gb is g and sa is not None and sa.grad is g else gb)
 
-    return _record("add", (a, b), out_data, backward)
+    return _record("add", (sa, sb), out_data, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_broadcast("sub", a, b)
     out_data = a.data - b.data
+    sa, sb = _slot_of(a), _slot_of(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
+        if sa is not None:
+            _accumulate(sa, _unbroadcast(g, a_shape))
+        if sb is not None:
+            _accumulate(sb, _unbroadcast(-g, b_shape))
 
-    return _record("sub", (a, b), out_data, backward)
+    return _record("sub", (sa, sb), out_data, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_broadcast("mul", a, b)
     out_data = a.data * b.data
+    sa, sb = _slot_of(a), _slot_of(b)
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if sb is not None else None
+    b_data = b.data if sa is not None else None
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if sa is not None:
+            _accumulate(sa, _unbroadcast(g * b_data, a_shape))
+        if sb is not None:
+            _accumulate(sb, _unbroadcast(g * a_data, b_shape))
 
-    return _record("mul", (a, b), out_data, backward)
+    return _record("mul", (sa, sb), out_data, backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_broadcast("div", a, b)
     out_data = a.data / b.data
+    sa, sb = _slot_of(a), _slot_of(b)
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if sb is not None else None
+    b_data = b.data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            db = -g * a.data / (b.data * b.data)
-            _accumulate(b, _unbroadcast(db, b.shape))
+        if sa is not None:
+            _accumulate(sa, _unbroadcast(g / b_data, a_shape))
+        if sb is not None:
+            db = -g * a_data / (b_data * b_data)
+            _accumulate(sb, _unbroadcast(db, b_shape))
 
-    return _record("div", (a, b), out_data, backward)
+    return _record("div", (sa, sb), out_data, backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out_data = a.data * s
+    sa = _slot_of(a)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * s)
+        _accumulate(sa, g * s)
 
-    return _record("scale", (a,), out_data, backward)
+    return _record("scale", (sa,), out_data, backward)
 
 
 def shift(a: Tensor, s: float) -> Tensor:
     """Add a python scalar (no gradient to the scalar)."""
     out_data = a.data + float(s)
+    sa = _slot_of(a)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g)
+        _accumulate(sa, g)
 
-    return _record("shift", (a,), out_data, backward)
+    return _record("shift", (sa,), out_data, backward)
 
 
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: x * h with h = (1 + tanh u) / 2 and
-    u = c (x + 0.044715 x^3). Only ``h`` is kept for the backward, where
-    1 - tanh(u)^2 = 4 h (1 - h)."""
+    u = c (x + 0.044715 x^3). The backward keeps ``x`` and ``h``, not the
+    output, and uses 1 - tanh(u)^2 = 4 h (1 - h)."""
     x = a.data
     h = x * x
     h *= 0.044715
@@ -375,6 +440,7 @@ def gelu(a: Tensor) -> Tensor:
     h += 1.0
     h *= 0.5
     out_data = x * h
+    sa = _slot_of(a)
 
     def backward(g: np.ndarray) -> None:
         # d(x h)/dx = h + x h', h' = 2 h (1 - h) c (1 + 3 * 0.044715 x^2)
@@ -387,22 +453,40 @@ def gelu(a: Tensor) -> Tensor:
         local *= 1.0 - h
         local += h
         local *= g
-        _accumulate(a, local)
+        _accumulate(sa, local)
 
-    return _record("gelu", (a,), out_data, backward)
+    return _record("gelu", (sa,), out_data, backward)
+
+
+def dropout(a: Tensor, keep: np.ndarray, scale: np.floating) -> Tensor:
+    """``a * keep * scale`` for a boolean ``keep`` of ``a``'s shape, the
+    forward and backward of inverted dropout. The mask is applied before
+    the scale, so each value equals a product with the float mask
+    ``keep * scale``; the backward keeps the mask at one byte per unit."""
+    out_data = a.data * keep
+    out_data *= scale
+    sa = _slot_of(a)
+
+    def backward(g: np.ndarray) -> None:
+        g *= keep
+        g *= scale
+        _accumulate(sa, g)
+
+    return _record("dropout", (sa,), out_data, backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out_data = a.data - np.max(a.data, axis=axis, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= np.sum(out_data, axis=axis, keepdims=True)
+    sa = _slot_of(a)
 
     def backward(g: np.ndarray) -> None:
         dx = g - np.sum(g * out_data, axis=axis, keepdims=True)
         dx *= out_data
-        _accumulate(a, dx)
+        _accumulate(sa, dx)
 
-    return _record("softmax", (a,), out_data, backward)
+    return _record("softmax", (sa,), out_data, backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -418,24 +502,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat *= inv_std
     out_data = xhat * gamma.data
     out_data += beta.data
+    sx, sg, sb = _slot_of(x), _slot_of(gamma), _slot_of(beta)
+    gamma_data = gamma.data
 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(-1, d)
-        if gamma.requires_grad:
-            _accumulate(gamma, np.einsum("ni,ni->i", g2, xhat.reshape(-1, d)))
-        if beta.requires_grad:
-            _accumulate(beta, g2.sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gamma.data
+        if sg is not None:
+            _accumulate(sg, np.einsum("ni,ni->i", g2, xhat.reshape(-1, d)))
+        if sb is not None:
+            _accumulate(sb, g2.sum(axis=0))
+        if sx is not None:
+            dxhat = g * gamma_data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = np.einsum("...i,...i->...", dxhat, xhat)[..., None]
             m2 /= d
             dxhat -= m1
             dxhat -= xhat * m2
             dxhat *= inv_std
-            _accumulate(x, dxhat)
+            _accumulate(sx, dxhat)
 
-    return _record("layer_norm", (x, gamma, beta), out_data, backward)
+    return _record("layer_norm", (sx, sg, sb), out_data, backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -450,44 +536,48 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=ax)
     extents = [t.shape[ax] for t in tensors]
     offsets = np.cumsum([0] + extents)
+    slots = tuple(_slot_of(t) for t in tensors)
 
     def backward(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
+            if slot is not None:
                 idx = [slice(None)] * g.ndim
                 idx[ax] = slice(lo, hi)
-                _accumulate(t, g[tuple(idx)])
+                _accumulate(slot, g[tuple(idx)])
 
-    return _record("concat", tuple(tensors), out_data, backward)
+    return _record("concat", slots, out_data, backward)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     out_data = a.data.reshape(tuple(shape))
+    sa, a_shape = _slot_of(a), a.shape
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(sa, g.reshape(a_shape))
 
-    return _record("reshape", (a,), out_data, backward)
+    return _record("reshape", (sa,), out_data, backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out_data = np.transpose(a.data, axes)
     inverse = tuple(np.argsort(axes))
+    sa = _slot_of(a)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, np.transpose(g, inverse))
+        _accumulate(sa, np.transpose(g, inverse))
 
-    return _record("transpose", (a,), out_data, backward)
+    return _record("transpose", (sa,), out_data, backward)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
     out_data = np.asarray(a.data.sum())
+    sa, a_shape = _slot_of(a), a.shape
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        _accumulate(sa, np.broadcast_to(g, a_shape).copy())
 
-    return _record("sum", (a,), out_data, backward)
+    return _record("sum", (sa,), out_data, backward)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -497,7 +587,7 @@ def mean(a: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse-sweep the tape from a scalar loss, consuming it.
 
-    Gradients accumulate additively into every tensor reached, so a tensor
+    Gradients accumulate additively into every slot reached, so a tensor
     used in several places receives the sum of all path contributions. Each
     op output's gradient is released as its node is popped, so afterwards
     only leaf tensors hold ``.grad`` and the tape is empty.
@@ -512,10 +602,10 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError("backward: loss does not depend on any tracked tensor")
     if not np.all(np.isfinite(loss.data)):
         raise NonFiniteError("backward: loss is not finite")
-    loss.grad = np.ones_like(loss.data)
+    _slot_of(loss).grad = np.ones_like(loss.data)
     while nodes:
-        out, backward_fn = nodes.pop()
-        g, out.grad = out.grad, None
+        slot, backward_fn = nodes.pop()
+        g, slot.grad = slot.grad, None
         if g is not None:
             backward_fn(g)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .metrics import mse, ccc_loss, evaluate_sessions, EvalReport
-from .model import save_checkpoint
+from .model import PARTNER_REQUIRED, save_checkpoint
 from .segmentation import make_segments, build_mixed_batch
 
 
@@ -179,8 +179,11 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
     """Train a model; returns history plus best/last checkpoint paths.
 
     Checkpoints store the EMA weights, i.e. exactly what validation scored.
-    Raises DivergenceError with the epoch/batch position if the loss or any
-    gradient goes non-finite, or the loss is 0/0 (a degenerate CCC batch).
+    Raises ValueError naming the session, before the first step, if a
+    training session has no frames or lacks the partner role the model
+    reads. Raises DivergenceError with the epoch/batch position if the loss
+    or any gradient goes non-finite, or the loss is 0/0 (a degenerate CCC
+    batch).
     """
     labeled = [s for s in train_sessions if s.roles["target"].labels is not None]
     if not labeled:
@@ -192,10 +195,17 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
+    reads_partner = "partner" in getattr(model, "roles", ())
     pairs = []
     for si, session in enumerate(labeled):
-        for seg in make_segments(session.num_frames, model.core_len, model.context_len):
-            pairs.append((si, seg))
+        name = f"session '{session.session_id}'"
+        if reads_partner and "partner" not in session.roles:
+            raise ValueError(f"{name}: {PARTNER_REQUIRED}")
+        try:
+            segments = make_segments(session.num_frames, model.core_len, model.context_len)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        pairs += [(si, seg) for seg in segments]
 
     params = model.named_parameters()
     optimizer = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)

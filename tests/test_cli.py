@@ -450,6 +450,40 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     assert "error[numeric]" in capsys.readouterr().err
 
 
+def _train_corpus_with(tmp_path, damage):
+    """A two-session training corpus whose second session is ``damage``d."""
+    corpus = tmp_path / "train"
+    synth_corpus(SynthConfig(sessions=1, num_frames=30, seed=4), corpus)
+    session = synth_session(SynthConfig(sessions=1, num_frames=30, seed=4), 1)
+    damage(session)
+    save_session(corpus / "session_001", session)
+    return corpus, session.session_id
+
+
+def _without_frames(session):
+    session.num_frames = 0
+    for role in session.roles.values():
+        role.streams = {name: arr[:0] for name, arr in role.streams.items()}
+        role.labels = role.labels[:0] if role.labels is not None else None
+
+
+def test_train_names_the_session_without_frames(tmp_path, capsys):
+    corpus, session_id = _train_corpus_with(tmp_path, _without_frames)
+    assert dispatch(["train", "--data", str(corpus)] + fast_flags(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert (f"error[data]: session '{session_id}': num_frames must be >= 1, "
+            f"got 0") in err
+
+
+def test_train_names_the_session_without_partner(tmp_path, capsys):
+    corpus, session_id = _train_corpus_with(tmp_path, lambda s: s.roles.pop("partner"))
+    assert dispatch(["train", "--data", str(corpus)] + fast_flags(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"error[data]: session '{session_id}': " in err
+    assert "a partner bundle is required" in err
+    assert not (tmp_path / "run" / "last.ckpt").exists()
+
+
 # ---------------------------------------------------------------- ablate
 
 def test_ablate_emits_rows_per_arm_and_seed(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,30 @@ def test_desk_training_forward_tape_node_count(rng):
     nodes = T.tape_size()
     T.reset_tape()
     assert nodes == 254
+
+
+def test_desk_training_forward_retains_only_what_backward_reads(rng):
+    # Bytes allocated by a 4-window train-mode forward that are still held
+    # when it returns: the output plus what the tape keeps for backward. It
+    # read 26.7 MB with numpy 2.4 on x86-64 (39.0 MB while every backward
+    # kept its input tensors and dropout kept float32 masks); the bound adds
+    # 5%. The float32 inputs are made before tracing starts.
+    model_cfg, _ = resolve_configs("desk", None, {})
+    model = EngagementModel(model_cfg, seed=0)
+    target, partner = ({s: a.astype(np.float32) for s, a in
+                        random_bundle(model_cfg, model_cfg.window_len, rng, batch=4).items()}
+                       for _ in range(2))
+    T.reset_tape()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = model.forward(target, partner, train=True, rng=np.random.default_rng(1))
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        T.reset_tape()
+    assert out.shape == (4, model_cfg.window_len, 1)
+    assert retained < 28.0e6
 
 
 def test_desk_training_step_leaves_only_owned_leaf_grads(rng):

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import engagekit.tensor as T
+from engagekit.nn import dropout
 from engagekit.tensor import Tensor, backward, grad_check
 
 
@@ -373,6 +376,98 @@ def test_add_gives_each_operand_its_own_gradient():
     b = T.reshape(x, (2,))
     backward(T.add(T.tensor_sum(T.add(a, b)), T.tensor_sum(c)))
     assert np.array_equal(x.grad, [3.0, 3.0])
+
+
+# ---------------------------------------------------------------- what the tape keeps
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+_KEEP = np.arange(24).reshape(2, 3, 4) % 3 != 1
+_CHAINS = {
+    "add->layer_norm": (lambda p: T.add(p["x"], p["y"]),
+                        lambda h, p: T.layer_norm(h, p["gamma"], p["beta"])),
+    "linear->dropout": (lambda p: T.linear(p["x"], p["w"], p["bias"]),
+                        lambda h, p: T.dropout(h, _KEEP, np.float64(1.25))),
+    "gelu->dropout": (lambda p: T.gelu(p["x"]),
+                      lambda h, p: T.dropout(h, _KEEP, np.float64(1.25))),
+}
+
+
+@pytest.mark.parametrize("chain", _CHAINS)
+def test_an_output_no_backward_reads_is_freed_when_dropped(chain):
+    first, second = _CHAINS[chain]
+    grads = []
+    for hold in (True, False):
+        rng = np.random.default_rng(21)
+        p = {"x": t(rng.standard_normal((2, 3, 4))), "y": t(rng.standard_normal((2, 3, 4))),
+             "gamma": t(rng.standard_normal(4)), "beta": t(rng.standard_normal(4)),
+             "w": t(rng.standard_normal((4, 4))), "bias": t(rng.standard_normal(4))}
+        h = first(p)
+        freed = weakref.ref(_owner(h.data))
+        out = second(h, p)
+        held = h if hold else None
+        del h
+        assert (freed() is None) != hold
+        backward(T.tensor_sum(T.mul(out, T.constant(np.arange(24.0).reshape(2, 3, 4)))))
+        grads.append({name: leaf.grad for name, leaf in p.items()})
+        del held
+    held_grads, dropped_grads = grads
+    assert held_grads.keys() == dropped_grads.keys()
+    for name, g in held_grads.items():
+        assert (g is None) == (dropped_grads[name] is None), name
+        assert g is None or np.array_equal(g, dropped_grads[name]), name
+
+
+@pytest.mark.parametrize("weight_learns", [True, False])
+def test_linear_keeps_its_input_only_for_the_weight_gradient(weight_learns):
+    rng = np.random.default_rng(22)
+    x = t(rng.standard_normal((2, 3, 4)))
+    w = Tensor(rng.standard_normal((4, 5)), requires_grad=weight_learns)
+    a = T.shift(x, 1.0)
+    kept = weakref.ref(_owner(a.data))
+    out = T.linear(a, w)
+    del a
+    assert (kept() is not None) == weight_learns
+    backward(T.tensor_sum(out))
+    assert np.allclose(x.grad, np.ones((2, 3, 5)) @ w.data.T)
+    if weight_learns:
+        assert np.allclose(w.grad, (x.data + 1.0).reshape(-1, 4).T @ np.ones((6, 5)))
+
+
+def test_mul_keeps_an_operand_only_for_the_other_ones_gradient():
+    rng = np.random.default_rng(23)
+    x = t(rng.standard_normal(6))
+    a = T.shift(x, 1.0)                      # needs a gradient
+    b = T.constant(rng.standard_normal(6))   # needs none
+    b_values = b.data.copy()
+    a_kept, b_kept = weakref.ref(_owner(a.data)), weakref.ref(_owner(b.data))
+    out = T.mul(a, b)
+    del a, b
+    assert a_kept() is None       # only b's gradient would read a
+    assert b_kept() is not None   # a's gradient reads b
+    backward(T.tensor_sum(out))
+    assert np.array_equal(x.grad, b_values)
+
+
+def test_dropout_keeps_one_byte_per_unit():
+    # The backward keeps only the boolean mask: about 1 byte per unit where a
+    # float32 mask would take 4, and the output is not kept at all.
+    x = Tensor(np.ones(1_000_000, dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = T.tensor_sum(dropout(x, 0.5, True, np.random.default_rng(24)))
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert 1_000_000 <= retained < 1_100_000
+    backward(loss)
+    assert x.grad.dtype == np.float32 and set(np.unique(x.grad)) <= {0.0, 2.0}
 
 
 def test_backward_rejects_non_scalar():
