@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .model import PARTNER_REQUIRED
 from .segmentation import make_segments, build_window_batch
 from .tensor import Tensor
 
@@ -173,13 +174,16 @@ def predict_session(model, session) -> np.ndarray:
     whole session, cuts each batch's windows from the projected timeline and
     computes only their core rows at the end; any other predictor scores
     gathered ``WindowBatch``es with ``predict_windows``. Both give the same
-    values. Raises ValueError naming the session if it has no frames, and
-    NonFiniteError naming the session if a batch's output is not finite
-    (damaged weights, say)."""
+    values. Raises ValueError naming the session if it has no frames or
+    lacks the partner role the model reads, and NonFiniteError naming the
+    session if a batch's output is not finite (damaged weights, say)."""
+    name = f"session '{session.session_id}'"
     try:
         segments = make_segments(session.num_frames, model.core_len, model.context_len)
     except ValueError as exc:
-        raise ValueError(f"session '{session.session_id}': {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
+    if "partner" in getattr(model, "roles", ()) and "partner" not in session.roles:
+        raise ValueError(f"{name}: {PARTNER_REQUIRED}")
     projected = model.project_session(session) if hasattr(model, "project_session") else None
     core = slice(model.context_len, model.context_len + model.core_len)
     cores: list[np.ndarray] = []
@@ -192,8 +196,8 @@ def predict_session(model, session) -> np.ndarray:
             else:
                 out = model.forward(*projected.windows(lo, hi), train=False).data[..., 0]
             if not np.all(np.isfinite(out)):
-                raise T.NonFiniteError(f"session '{session.session_id}': non-finite "
-                                       f"predictions in windows {lo}..{hi - 1}")
+                raise T.NonFiniteError(f"{name}: non-finite predictions in windows "
+                                       f"{lo}..{hi - 1}")
             cores.append(out)
     # The cores tile [0, n * core); the last one runs past T by the padding.
     series = np.concatenate(cores, axis=None, dtype=np.float64)[:session.num_frames]

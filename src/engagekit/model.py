@@ -21,9 +21,13 @@ Session scoring has its own path (``project_session``). A stream's input
 projection is frame-local, so each role's streams are projected once over
 the session's edge-padded timeline and every window is a view of it, where
 training gathers raw windows and projects them (the weight gradient needs
-the raw rows). Only each window's core rows go through the last partner
-cross layer and the head, since stitching keeps nothing else; all
-predictions are bitwise those of the window path.
+the raw rows). Stitching keeps only each window's core rows, so the last
+layer of each stack that is next read row by row computes only those rows
+(``TransformerEncoderLayer`` and ``PartnerCrossLayer`` take ``keep``): the
+partner's last fusion layers under one cross layer, the last cross layer,
+the target's last fusion layers without a partner cross, and the baseline's
+last fusion layer. The head then reads core rows only. All predictions are
+bitwise those of the window path.
 
 Parameters are named by attribute path (``nn.Module.named_parameters``), such
 as ``audio_cross.0.ffn.lin1.bias``; the target and the partner each have their
@@ -42,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .nn import (Linear, LayerNorm, MultiHeadAttention, FeedForward, Module,
-                 TransformerEncoderLayer, PositionalEncoding)
+                 TransformerEncoderLayer, PositionalEncoding, keep_rows)
 from .tensor import Tensor
 
 STREAMS = ("opensmile", "w2vbert", "clip", "openface", "openpose")
@@ -158,10 +162,12 @@ def _check_bundle(bundle: dict[str, Tensor], cfg: ModelConfig, who: str) -> int:
 PARTNER_REQUIRED = "model was built with partner cross-attention; a partner bundle is required"
 
 
-def _rows(x: Tensor, keep: slice) -> Tensor:
-    """Window rows ``keep`` of ``[.., L, D]`` features. The cut records no
-    gradient, so only no-grad scoring keeps fewer than all rows."""
-    return x if keep == slice(None) else T.constant(x.data[..., keep, :])
+def _stack(layers, x: Tensor, train: bool, rng, keep: slice) -> Tensor:
+    """Encoder layers in order; only the last computes just the rows ``keep``,
+    since the ones before feed its keys and values."""
+    for i, layer in enumerate(layers):
+        x = layer(x, train, rng, keep if i == len(layers) - 1 else slice(None))
+    return x
 
 
 @dataclass
@@ -181,8 +187,8 @@ class ProjectedSession:
     n windows; the gemm always has at least L rows. Window k is timeline
     rows [k * core, k * core + L), so ``windows`` cuts a batch as views of
     those rows, with no gather. A role the session lacks, or the model does
-    not read, gives ``None``. Raises ShapeError naming the role and stream
-    whose dim differs from the config."""
+    not read, gives ``None``. Raises ShapeError naming the session, role and
+    stream whose dim differs from the config."""
 
     def __init__(self, cfg: ModelConfig, encoders: dict, session):
         num_windows = -(-session.num_frames // cfg.core_len)
@@ -193,7 +199,7 @@ class ProjectedSession:
             if role not in session.roles:
                 continue
             streams = session.roles[role].streams
-            _check_bundle(streams, cfg, role)
+            _check_bundle(streams, cfg, f"session '{session.session_id}': {role}")
             self.roles[role] = {}
             for s in STREAMS:
                 # mode="clip" replicates the edge frames, as window_indices does
@@ -234,29 +240,28 @@ class StreamEncoders(Module):
         a whole session timeline alike."""
         return self.proj[stream](x)
 
-    def encode(self, projected: dict[str, Tensor], train: bool, rng) -> dict[str, Tensor]:
+    def encode(self, projected: dict[str, Tensor], train: bool, rng,
+               keep: slice = slice(None)) -> dict[str, Tensor]:
         """Positional add and the encoder stack, per stream, over projected
-        ``[.., L, d]`` windows."""
-        out = {}
-        for s in STREAMS:
-            x = self.positional(projected[s])
-            for layer in self.layers[s]:
-                x = layer(x, train, rng)
-            out[s] = x
-        return out
+        ``[.., L, d]`` windows; each stack's last layer computes only the
+        window rows ``keep``."""
+        return {s: _stack(self.layers[s], self.positional(projected[s]), train, rng, keep)
+                for s in STREAMS}
 
-    def __call__(self, bundle, train: bool, rng) -> dict[str, Tensor]:
+    def __call__(self, bundle, train: bool, rng, keep: slice = slice(None)) -> dict[str, Tensor]:
         """Raw stream bundles are projected here; ``ProjectedWindows`` were
         projected once for their whole session."""
         if isinstance(bundle, ProjectedWindows):
-            return self.encode(bundle.streams, train, rng)
-        return self.encode({s: self.project(s, bundle[s]) for s in STREAMS}, train, rng)
+            return self.encode(bundle.streams, train, rng, keep)
+        return self.encode({s: self.project(s, bundle[s]) for s in STREAMS}, train, rng, keep)
 
 
 class GroupFusion(Module):
     """Stream encoders plus concat into audio [.., L, 2d] / video [.., L, 3d]
     groups; with group fusion enabled each group passes through its own
-    encoder stack, otherwise the raw concatenations flow through."""
+    encoder stack, otherwise the raw concatenations flow through. Only the
+    last layers, the group layers or else the stream layers, compute just
+    the window rows ``keep``."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.streams = StreamEncoders(cfg, rng)
@@ -270,15 +275,12 @@ class GroupFusion(Module):
                     cfg.video_dim, cfg.heads, cfg.dropout, rng, cfg.ffn_mult))
 
     def __call__(self, bundle: dict[str, Tensor], train: bool = False,
-                 rng=None) -> tuple[Tensor, Tensor]:
-        enc = self.streams(bundle, train, rng)
+                 rng=None, keep: slice = slice(None)) -> tuple[Tensor, Tensor]:
+        enc = self.streams(bundle, train, rng, slice(None) if self.audio_layers else keep)
         audio = T.concat([enc[s] for s in AUDIO_STREAMS], axis=-1)
         video = T.concat([enc[s] for s in VIDEO_STREAMS], axis=-1)
-        for layer in self.audio_layers:
-            audio = layer(audio, train, rng)
-        for layer in self.video_layers:
-            video = layer(video, train, rng)
-        return audio, video
+        return (_stack(self.audio_layers, audio, train, rng, keep),
+                _stack(self.video_layers, video, train, rng, keep))
 
 
 class PartnerCrossLayer(Module):
@@ -296,7 +298,8 @@ class PartnerCrossLayer(Module):
 
     Every output row comes from one query row, so ``keep`` (a slice of the
     window rows) computes only those rows; keys and values still span the
-    whole window. Only no-grad scoring keeps fewer than all rows.
+    whole window. The partner may come already cut to the ``keep`` rows.
+    Only no-grad scoring keeps fewer than all rows.
     """
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
@@ -308,11 +311,14 @@ class PartnerCrossLayer(Module):
 
     def __call__(self, target: Tensor, partner: Tensor, train: bool = False,
                  rng=None, keep: slice = slice(None)) -> Tensor:
-        if target.shape != partner.shape:
-            raise T.ShapeError(f"cross layer: target {target.shape} and partner "
-                               f"{partner.shape} must match")
+        residual = keep_rows(target, keep)
+        if partner.shape == target.shape:
+            partner = keep_rows(partner, keep)
+        elif partner.shape != residual.shape:
+            raise T.ShapeError(f"cross layer: partner {partner.shape} must match target "
+                               f"{target.shape} or its kept rows {residual.shape}")
         kv = self.norm_kv(target)
-        mid = T.add(self.attn(_rows(partner, keep), kv, train, rng), _rows(target, keep))
+        mid = T.add(self.attn(partner, kv, train, rng), residual)
         return T.add(mid, self.ffn(self.norm_ffn(mid), train, rng))
 
 
@@ -341,9 +347,11 @@ class _Architecture(Module):
     draw order and passes each through ``_owned`` as it assigns it. A subclass
     also defines ``_features(target, length, partner, train, rng, keep)``, its
     path from the checked target bundle (of ``length`` frames) to the fused
-    ``[.., L, 5d]`` features the head reads, cut to the window rows ``keep``
-    as late as its layers allow, and ``_stream_encoders()``, the
-    ``StreamEncoders`` of each role it reads."""
+    ``[.., L, 5d]`` features the head reads, and ``_stream_encoders()``, the
+    ``StreamEncoders`` of each role it reads. ``_features`` returns only the
+    window rows ``keep``: it passes ``keep`` to the last layer of whichever
+    stack is next read row by row, so that layer computes only those rows
+    and every layer before it still sees the whole window."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
@@ -427,9 +435,9 @@ class EngagementModel(_Architecture):
 
     def _features(self, target, length, partner, train, rng, keep) -> Tensor:
         cfg = self.cfg
-        audio, video = self.target_fusion(target, train, rng)
         if not cfg.use_partner_cross:
-            return _rows(T.concat([audio, video], axis=-1), keep)
+            return T.concat(self.target_fusion(target, train, rng, keep), axis=-1)
+        audio, video = self.target_fusion(target, train, rng)
         if partner is None:
             raise ValueError(PARTNER_REQUIRED)
         if not isinstance(partner, ProjectedWindows):
@@ -437,7 +445,10 @@ class EngagementModel(_Architecture):
             len_p = _check_bundle(partner, cfg, "partner")
             if len_p != length:
                 raise T.ShapeError(f"target length {length} != partner length {len_p}")
-        p_audio, p_video = self.partner_fusion(partner, train, rng)
+        # The partner's fused features are the cross layers' queries, so one
+        # cross layer reads only their kept rows.
+        p_audio, p_video = self.partner_fusion(
+            partner, train, rng, keep if cfg.cross_layers == 1 else slice(None))
         # Only the last layer's output reaches the head, so only it keeps
         # fewer rows; the ones before feed its keys and values.
         rows = [slice(None)] * (cfg.cross_layers - 1) + [keep]
@@ -468,9 +479,7 @@ class BaselineModel(_Architecture):
     def _features(self, target, length, partner, train, rng, keep) -> Tensor:
         enc = self.streams(target, train, rng)
         fused = T.concat([enc[s] for s in STREAMS], axis=-1)
-        for layer in self.fusion:
-            fused = layer(fused, train, rng)
-        return _rows(fused, keep)
+        return _stack(self.fusion, fused, train, rng, keep)
 
 
 MODELS = {cls.arch: cls for cls in (EngagementModel, BaselineModel)}

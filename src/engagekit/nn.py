@@ -2,7 +2,8 @@
 
 Linear projection, multi-head attention (self and cross), position-wise
 feed-forward, sinusoidal positional encoding, inverted dropout, and a
-standard pre-norm transformer encoder layer. Blocks accept either a single
+standard pre-norm transformer encoder layer, which can compute only some of
+its window rows (``keep``) for no-grad scoring. Blocks accept either a single
 window ``[L, D]`` or a batch of windows ``[B, L, D]``.
 
 Blocks take no dtype: they build in float64, as their init draws come, and
@@ -183,8 +184,22 @@ class FeedForward(Module):
         return Linear.param_count(in_dim, hidden) + Linear.param_count(hidden, out_dim)
 
 
+def keep_rows(x: Tensor, keep: slice) -> Tensor:
+    """Window rows ``keep`` of ``[.., L, D]`` features. The cut records no
+    gradient, so only no-grad scoring keeps fewer than all rows."""
+    return x if keep == slice(None) else T.constant(x.data[..., keep, :])
+
+
 class TransformerEncoderLayer(Module):
-    """Pre-norm transformer layer: x + Attn(Norm(x)), then + FFN(Norm(.))."""
+    """Pre-norm transformer layer: x + Attn(Norm(x)), then + FFN(Norm(.)).
+
+    Every output row comes from one query row, so ``keep`` (a slice of the
+    window rows) computes only those rows: the queries (``norm1`` rows) and
+    the residual are cut to them, keys and values still span the whole
+    window, and ``norm2`` and the FFN run on the kept rows alone. The cut
+    records no gradient (``keep_rows``), so only no-grad scoring keeps fewer
+    than all rows.
+    """
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
                  ffn_mult: int = 4):
@@ -196,9 +211,10 @@ class TransformerEncoderLayer(Module):
         self.ffn = FeedForward(dim, ffn_mult * dim, dim, dropout_rate, rng)
 
     def __call__(self, x: Tensor, train: bool = False,
-                 rng: np.random.Generator | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None,
+                 keep: slice = slice(None)) -> Tensor:
         n1 = self.norm1(x)
-        h = T.add(x, self.attn(n1, n1, train, rng))
+        h = T.add(keep_rows(x, keep), self.attn(keep_rows(n1, keep), n1, train, rng))
         return T.add(h, self.ffn(self.norm2(h), train, rng))
 
     @staticmethod

@@ -68,7 +68,11 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam with bias correction over a named parameter list."""
+    """Standard Adam with bias correction over a named parameter list.
+
+    The moments and the parameters are updated in place, in the order of the
+    textbook formula, so the results are those of the formula bit for bit and
+    no state array is reallocated."""
 
     def __init__(self, named_params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
@@ -93,11 +97,18 @@ class Adam:
                 raise DivergenceError(f"non-finite gradient in parameter '{name}'")
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[i], self.v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            step = m / bc1                      # lr * m_hat / (sqrt(v_hat) + eps)
+            step *= self.lr
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
 
 
 class EmaState:
@@ -113,7 +124,9 @@ class EmaState:
         for name, p in self.params:
             if self.shadow[name].shape != p.data.shape:
                 raise ValueError(f"EMA shadow shape drifted for '{name}'")
-            self.shadow[name] = d * self.shadow[name] + (1.0 - d) * p.data
+            shadow = self.shadow[name]
+            shadow *= d
+            shadow += (1.0 - d) * p.data
 
     def swap(self) -> None:
         """Exchange live parameters with the shadow; call twice to restore."""

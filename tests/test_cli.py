@@ -8,7 +8,7 @@ import pytest
 
 import engagekit.cli as cli
 from engagekit.cli import dispatch, parse_config_file, resolve_configs, CliUsageError
-from engagekit.data import SynthConfig, save_session, synth_corpus, synth_session
+from engagekit.data import SynthConfig, load_sessions, save_session, synth_corpus, synth_session
 from engagekit.model import EngagementModel, ModelConfig, param_count, save_checkpoint
 from engagekit.tensor import Tensor
 from engagekit.training import TrainConfig
@@ -289,7 +289,8 @@ def test_eval_refuses_a_session_without_partner_for_a_dialogue_checkpoint(tmp_pa
     save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
     assert dispatch(["eval", "--data", str(tmp_path / "solo"), "--ckpt", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert "error[data]" in err and "a partner bundle is required" in err
+    assert (f"error[data]: session '{session.session_id}': model was built with partner "
+            "cross-attention; a partner bundle is required") in err
     assert "Traceback" not in err
 
 
@@ -299,8 +300,9 @@ def test_eval_refuses_stream_dims_unlike_the_checkpoint(tmp_path, capsys):
     save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
     assert dispatch(["eval", "--data", str(val_dir), "--ckpt", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert ("error[data]: target stream 'opensmile' has dim 88, config expects "
-            f"{TOY_FEATURE_DIMS['opensmile']}") in err
+    session_id = load_sessions(val_dir)[0].session_id
+    assert (f"error[data]: session '{session_id}': target stream 'opensmile' has dim 88, "
+            f"config expects {TOY_FEATURE_DIMS['opensmile']}") in err
 
 
 @pytest.mark.parametrize("predictor", ["model", "oracle"])

@@ -212,9 +212,10 @@ def test_predict_session_refuses_non_finite_predictions():
 
 def test_predict_session_batches_do_not_change_predictions():
     """The session path (one projection per frame and role, windows cut from
-    the projected timeline, core rows only through the last cross layer and
-    the head, batches of WINDOWS_PER_BATCH) equals one ``predict_windows``
-    call over all the gathered windows, stitched, bit for bit."""
+    the projected timeline, core rows only from the last layer of each stack
+    read row by row, batches of WINDOWS_PER_BATCH) equals one
+    ``predict_windows`` call over all the gathered windows, stitched, bit for
+    bit."""
     desk = dict(model_dim=32, heads=8, core_len=32, context_len=16, dropout=0.1,
                 feature_dims=dict(DEFAULT_FEATURE_DIMS), dtype="float32")
     arms = [(EngagementModel, toy_config(dtype="float32")),
@@ -222,6 +223,8 @@ def test_predict_session_batches_do_not_change_predictions():
             (EngagementModel, toy_config(dtype="float32", cross_layers=2)),
             (EngagementModel, toy_config(dtype="float64", cross_layers=2)),
             (EngagementModel, toy_config(dtype="float32", use_partner_cross=False)),
+            (EngagementModel, toy_config(dtype="float32", use_group_fusion=False)),
+            (EngagementModel, toy_config(dtype="float64", use_group_fusion=False)),
             (BaselineModel, toy_config(dtype="float32")),
             (BaselineModel, toy_config(dtype="float64")),
             (EngagementModel, ModelConfig(**desk))]
@@ -237,7 +240,54 @@ def test_predict_session_batches_do_not_change_predictions():
             whole = model.predict_windows(build_window_batch(session, segments))
             expected = np.clip(reassemble(list(whole), segments, frames), 0.0, 1.0)
             assert np.array_equal(predict_session(model, session), expected), \
-                (arch.arch, cfg.dtype, cfg.cross_layers, cfg.use_partner_cross, frames)
+                (arch.arch, cfg.dtype, cfg.cross_layers, cfg.use_group_fusion,
+                 cfg.use_partner_cross, frames)
+
+
+def test_predict_session_cuts_rows_only_in_the_last_layers(monkeypatch):
+    """On the session path only the last layer of each stack read row by row
+    (the partner fusion under one cross layer, the target fusion without a
+    partner cross, the baseline's fusion) and the last cross layer query the
+    core rows; every other attention queries the whole window, and keys
+    always span it."""
+    calls = []
+    attention = T.attention
+
+    def recording(q, k, v, heads):
+        calls.append((q.shape[1], k.shape[1]))
+        return attention(q, k, v, heads)
+
+    monkeypatch.setattr(T, "attention", recording)
+    depth = 2
+    cfg = toy_config(encoder_depth=depth)
+    L, C = cfg.window_len, cfg.core_len
+
+    def fusion(last, grouped=True):     # query rows of one role's fusion, in call order
+        stack = [L] * (depth - 1) + [last]
+        if not grouped:
+            return stack * 5
+        return [L] * depth * 5 + stack * 2
+
+    arms = [("full", EngagementModel, {},
+             fusion(L) + fusion(C) + [C, C]),
+            ("cross_layers=2", EngagementModel, dict(cross_layers=2),
+             fusion(L) + fusion(L) + [L, C, L, C]),
+            ("no group fusion", EngagementModel, dict(use_group_fusion=False),
+             fusion(L, grouped=False) + fusion(C, grouped=False) + [C, C]),
+            ("no partner cross", EngagementModel, dict(use_partner_cross=False),
+             fusion(C)),
+            ("baseline", BaselineModel, {},
+             [L] * depth * 5 + [L] * (depth - 1) + [C])]
+    forwards = 2
+    frames = (forwards - 1) * WINDOWS_PER_BATCH * C + 1
+    for name, arch, overrides, rows in arms:
+        cfg = toy_config(encoder_depth=depth, **overrides)
+        session = synth_session(SynthConfig(sessions=1, num_frames=frames, seed=5,
+                                            feature_dims=dict(cfg.feature_dims)), 0)
+        calls.clear()
+        predict_session(arch(cfg, seed=3), session)
+        assert [q for q, _ in calls] == rows * forwards, name
+        assert {k for _, k in calls} == {L}, name
 
 
 def test_report_mean_is_arithmetic_average_and_serializes(tmp_path):

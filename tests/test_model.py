@@ -117,6 +117,22 @@ def test_cross_layer_shape_mismatch(rng):
     with pytest.raises(T.ShapeError):
         layer(T.constant(rng.standard_normal((4, 8))),
               T.constant(rng.standard_normal((5, 8))))
+    # a partner cut to other rows than ``keep`` is refused too
+    with pytest.raises(T.ShapeError, match=r"kept rows \(2, 8\)"):
+        layer(T.constant(rng.standard_normal((4, 8))),
+              T.constant(rng.standard_normal((3, 8))), keep=slice(1, 3))
+
+
+def test_cross_layer_takes_a_partner_already_cut_to_keep(rng):
+    layer = PartnerCrossLayer(8, 2, 0.0, np.random.default_rng(8))
+    target = T.constant(rng.standard_normal((2, 6, 8)))
+    partner = T.constant(rng.standard_normal((2, 6, 8)))
+    keep = slice(2, 4)
+    with T.no_grad():
+        full = layer(target, partner, keep=keep).data
+        cut = layer(target, T.constant(partner.data[:, keep]), keep=keep).data
+    assert full.shape == (2, 2, 8)
+    assert np.array_equal(full, cut)
 
 
 # ---------------------------------------------------------------- full model

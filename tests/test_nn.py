@@ -168,6 +168,18 @@ def test_encoder_layer_batched_matches_loop():
         assert np.allclose(stacked[i], single, atol=1e-12)
 
 
+def test_encoder_layer_keep_computes_those_rows_of_the_full_output():
+    rng = np.random.default_rng(9)
+    layer = TransformerEncoderLayer(8, 2, 0.0, rng=10)
+    x = T.constant(rng.standard_normal((3, 9, 8)))
+    with T.no_grad():
+        full = layer(x).data
+        core = layer(x, keep=slice(2, 6)).data
+        single = layer(T.constant(x.data[1]), keep=slice(2, 6)).data
+    assert np.array_equal(core, full[:, 2:6])
+    assert single.shape == (4, 8)
+
+
 def test_block_param_count_formulas():
     dim, mult = 16, 4
     layer = TransformerEncoderLayer(dim, 4, 0.0, rng=10, ffn_mult=mult)

@@ -76,6 +76,29 @@ def test_adam_matches_independent_scalar_recurrence():
     assert abs(p.data[0]) < 1e-2
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_and_ema_in_place_equal_the_textbook_formulas_bitwise(dtype):
+    rng = np.random.default_rng(3)
+    p = Tensor(rng.standard_normal((4, 3)).astype(dtype), requires_grad=True)
+    lr, b1, b2, eps, wd, decay = 0.01, 0.9, 0.999, 1e-8, 0.1, 0.99
+    opt = Adam([("p", p)], lr, b1, b2, eps, wd)
+    ema = EmaState([("p", p)], decay)
+    w, m, v, shadow = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data), p.data.copy()
+    for t in range(1, 6):
+        g = rng.standard_normal((4, 3)).astype(dtype)
+        p.grad = g.copy()
+        opt.step()
+        ema.update()
+        g = g + wd * w
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        w = w - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        shadow = decay * shadow + (1.0 - decay) * w
+        assert p.data.dtype == dtype
+        assert p.data.tobytes() == w.tobytes()
+        assert ema.shadow["p"].tobytes() == shadow.tobytes()
+
+
 def test_adam_aborts_on_non_finite_grad():
     p = Tensor(np.ones(3), requires_grad=True)
     p.grad = np.array([1.0, np.nan, 0.0])
