@@ -5,10 +5,10 @@ CCC follows Lin's definition with population (1/n) moments:
     ccc(x, y) = 2 cov(x, y) / (var(x) + var(y) + (mean(x) - mean(y))^2)
 
 The same moments are used in the differentiable CCC loss so metric and loss
-agree. Session evaluation cuts each session into windows, predicts their
-cores (a model projects each stream once per session and computes core
-rows only at the end; see ``predict_session``), stitches the cores, clamps
-and scores the session's full timeline.
+agree. Every predictor, a model or the label-echo oracle, scores a session
+through one loop (``predict_session``, which states the predictor
+protocol): it cuts the session into windows, predicts their cores in
+batches, stitches the cores, clamps and scores the full timeline.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from . import tensor as T
 from .model import PARTNER_REQUIRED
-from .segmentation import make_segments, build_window_batch
 from .tensor import Tensor
 
 
@@ -146,17 +145,24 @@ class EvalReport:
 
 
 class LabelEchoPredictor:
-    """Oracle predictor that returns each window's labels; exercises the
-    segment/stitch plumbing end to end (perfect plumbing gives CCC = 1)."""
+    """Oracle predictor whose windows are the target's label cores and whose
+    ``forward`` returns them; it runs the session path's batching and
+    stitching end to end (perfect plumbing gives CCC = 1)."""
 
-    arch = "oracle"
+    roles = ("target",)
 
     def __init__(self, core_len: int = 32, context_len: int = 32):
         self.core_len = core_len
         self.context_len = context_len
 
-    def predict_windows(self, batch) -> np.ndarray:
-        return np.asarray(batch.labels)
+    def project_session(self, session):
+        n = -(-session.num_frames // self.core_len)
+        cores = np.take(session.roles["target"].labels, np.arange(n * self.core_len),
+                        mode="clip").reshape(n, self.core_len, 1)
+        return lambda lo, hi: (T.constant(cores[lo:hi]), None)
+
+    def forward(self, target, partner=None, train=False):
+        return target
 
 
 # Windows per forward. A window's output does not depend on the other
@@ -165,39 +171,43 @@ class LabelEchoPredictor:
 WINDOWS_PER_BATCH = 16
 
 
-def predict_session(model, session) -> np.ndarray:
-    """Score a session's T frames: cut it into windows, run the model over
-    batches of WINDOWS_PER_BATCH windows, stitch the window cores back
-    together, clamp to the label range.
-
-    A model (``project_session``) projects each role's streams once for the
-    whole session, cuts each batch's windows from the projected timeline and
-    computes only their core rows at the end; any other predictor scores
-    gathered ``WindowBatch``es with ``predict_windows``. Both give the same
-    values. Raises ValueError naming the session if it has no frames or
-    lacks the partner role the model reads, and NonFiniteError naming the
-    session if a batch's output is not finite (damaged weights, say)."""
-    name = f"session '{session.session_id}'"
-    try:
-        segments = make_segments(session.num_frames, model.core_len, model.context_len)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-    if "partner" in getattr(model, "roles", ()) and "partner" not in session.roles:
+def check_session(model, session, scored: bool = False) -> None:
+    """Raise ValueError naming the session if it has no frames, fewer than
+    the 2 that CCC needs when it is ``scored``, or lacks the partner role the
+    model reads."""
+    name, n = f"session '{session.session_id}'", session.num_frames
+    if n < 1:
+        raise ValueError(f"{name}: num_frames must be >= 1, got {n}")
+    if scored and n < 2:
+        raise ValueError(f"{name}: CCC needs num_frames >= 2, got {n}")
+    if "partner" in model.roles and "partner" not in session.roles:
         raise ValueError(f"{name}: {PARTNER_REQUIRED}")
-    projected = model.project_session(session) if hasattr(model, "project_session") else None
-    core = slice(model.context_len, model.context_len + model.core_len)
+
+
+def predict_session(model, session) -> np.ndarray:
+    """Score a session's T frames: cut it into n = ceil(T / core) windows,
+    run the model over batches of WINDOWS_PER_BATCH windows, stitch the
+    window cores back together, clamp to the label range.
+
+    A predictor has ``core_len``, ``context_len``, ``roles`` (the session
+    roles it reads), ``project_session(session)``, which returns a
+    ``windows(lo, hi)`` cutter of windows lo..hi-1 as (target, partner)
+    inputs, and ``forward(target, partner, train=False)``, which returns
+    their ``[hi - lo, core, 1]`` core predictions. Both run under
+    ``no_grad``. Raises ValueError naming the session (``check_session``),
+    and NonFiniteError naming the session if a batch's output is not finite
+    (damaged weights, say)."""
+    check_session(model, session)
+    num_windows = -(-session.num_frames // model.core_len)
     cores: list[np.ndarray] = []
     with T.no_grad():
-        for lo in range(0, len(segments), WINDOWS_PER_BATCH):
-            hi = min(lo + WINDOWS_PER_BATCH, len(segments))
-            if projected is None:
-                batch = build_window_batch(session, segments[lo:hi])
-                out = model.predict_windows(batch)[:, core]
-            else:
-                out = model.forward(*projected.windows(lo, hi), train=False).data[..., 0]
+        windows = model.project_session(session)
+        for lo in range(0, num_windows, WINDOWS_PER_BATCH):
+            hi = min(lo + WINDOWS_PER_BATCH, num_windows)
+            out = model.forward(*windows(lo, hi), train=False).data[..., 0]
             if not np.all(np.isfinite(out)):
-                raise T.NonFiniteError(f"{name}: non-finite predictions in windows "
-                                       f"{lo}..{hi - 1}")
+                raise T.NonFiniteError(f"session '{session.session_id}': non-finite "
+                                       f"predictions in windows {lo}..{hi - 1}")
             cores.append(out)
     # The cores tile [0, n * core); the last one runs past T by the padding.
     series = np.concatenate(cores, axis=None, dtype=np.float64)[:session.num_frames]
@@ -206,7 +216,8 @@ def predict_session(model, session) -> np.ndarray:
 
 def evaluate_sessions(model, sessions) -> EvalReport:
     """Score a model per session (CCC and MSE against the target labels) and
-    average across sessions; label-less sessions are skipped with a notice."""
+    average across sessions; label-less sessions are skipped with a notice.
+    Raises ValueError naming a scored session of fewer than 2 frames."""
     report = EvalReport()
     for session in sessions:
         if session.roles["target"].labels is None:
@@ -214,6 +225,7 @@ def evaluate_sessions(model, sessions) -> EvalReport:
                           RuntimeWarning, stacklevel=2)
             report.skipped.append(session.session_id)
             continue
+        check_session(model, session, scored=True)
         series = predict_session(model, session)
         labels = session.roles["target"].labels
         report.session_ids.append(session.session_id)

@@ -17,17 +17,18 @@ Its ``forward`` checks the target bundle, runs the architecture's own feature
 path to the fused 5d features, applies the prediction head and clamps to
 [0, 1] in eval mode. ``MODELS`` maps a checkpoint's arch name to its class.
 
-Session scoring has its own path (``project_session``). A stream's input
-projection is frame-local, so each role's streams are projected once over
-the session's edge-padded timeline and every window is a view of it, where
-training gathers raw windows and projects them (the weight gradient needs
-the raw rows). Stitching keeps only each window's core rows, so the last
-layer of each stack that is next read row by row computes only those rows
-(``TransformerEncoderLayer`` and ``PartnerCrossLayer`` take ``keep``): the
-partner's last fusion layers under one cross layer, the last cross layer,
-the target's last fusion layers without a partner cross, and the baseline's
-last fusion layer. The head then reads core rows only. All predictions are
-bitwise those of the window path.
+Session scoring has its own path: ``project_session`` returns a
+``windows(lo, hi)`` cutter whose batches ``metrics.predict_session`` feeds to
+``forward``. A stream's input projection is frame-local, so each role's
+streams are projected once over the session's edge-padded timeline and every
+window is a view of it, where training gathers raw windows and projects them
+(the weight gradient needs the raw rows). Stitching keeps only each window's
+core rows, so the last layer of each stack that is next read row by row
+computes only those rows (``TransformerEncoderLayer`` and
+``PartnerCrossLayer`` take ``keep``): the partner's last fusion layers under
+one cross layer, the last cross layer, the target's last fusion layers
+without a partner cross, and the baseline's last fusion layer. The head then
+reads core rows only. All predictions are bitwise those of the window path.
 
 Parameters are named by attribute path (``nn.Module.named_parameters``), such
 as ``audio_cross.0.ffn.lin1.bias``; the target and the partner each have their
@@ -173,52 +174,12 @@ def _stack(layers, x: Tensor, train: bool, rng, keep: slice) -> Tensor:
 @dataclass
 class ProjectedWindows:
     """A batch of one role's windows cut from its projected session timeline
-    (``ProjectedSession``): per stream a ``[B, L, d]`` tensor that has been
+    (``project_session``): per stream a ``[B, L, d]`` tensor that has been
     through the input projection but not the positional add. ``forward``
     scores only the window rows ``keep``."""
 
     streams: dict[str, Tensor]
     keep: slice
-
-
-class ProjectedSession:
-    """One session's streams, each projected once per frame and role over
-    the edge-padded timeline of frames [-context, n * core + context) of its
-    n windows; the gemm always has at least L rows. Window k is timeline
-    rows [k * core, k * core + L), so ``windows`` cuts a batch as views of
-    those rows, with no gather. A role the session lacks, or the model does
-    not read, gives ``None``. Raises ShapeError naming the session, role and
-    stream whose dim differs from the config."""
-
-    def __init__(self, cfg: ModelConfig, encoders: dict, session):
-        num_windows = -(-session.num_frames // cfg.core_len)
-        frames = np.arange(-cfg.context_len, num_windows * cfg.core_len + cfg.context_len)
-        self.keep = slice(cfg.context_len, cfg.context_len + cfg.core_len)
-        self.roles: dict[str, dict[str, np.ndarray]] = {}
-        for role, encoder in encoders.items():
-            if role not in session.roles:
-                continue
-            streams = session.roles[role].streams
-            _check_bundle(streams, cfg, f"session '{session.session_id}': {role}")
-            self.roles[role] = {}
-            for s in STREAMS:
-                # mode="clip" replicates the edge frames, as window_indices does
-                raw = np.take(streams[s], frames, axis=0, mode="clip").astype(
-                    cfg.np_dtype, copy=False)
-                with T.no_grad():
-                    timeline = encoder.project(s, T.constant(raw))
-                self.roles[role][s] = sliding_window_view(
-                    timeline.data, cfg.window_len, axis=0).swapaxes(1, 2)[::cfg.core_len]
-
-    def windows(self, lo: int, hi: int) -> tuple[ProjectedWindows, ProjectedWindows | None]:
-        """Windows lo..hi-1 as (target, partner)."""
-        def cut(role):
-            if role not in self.roles:
-                return None
-            return ProjectedWindows({s: T.constant(view[lo:hi])
-                                     for s, view in self.roles[role].items()}, self.keep)
-
-        return cut("target"), cut("partner")
 
 
 class StreamEncoders(Module):
@@ -396,9 +357,39 @@ class _Architecture(Module):
         """The roles whose streams the model reads."""
         return tuple(self._stream_encoders())
 
-    def project_session(self, session) -> ProjectedSession:
-        """Project each role's streams once for the whole session."""
-        return ProjectedSession(self.cfg, self._stream_encoders(), session)
+    def project_session(self, session):
+        """Project each role's streams once per frame over the edge-padded
+        timeline of frames [-context, n * core + context) of the session's n
+        windows; the gemm always has at least L rows. Window k is timeline
+        rows [k * core, k * core + L), so the returned ``windows(lo, hi)``
+        cuts windows lo..hi-1 as (target, partner) ``ProjectedWindows`` views
+        of those rows, with no gather; the partner is ``None`` if the model
+        does not read it. Raises ShapeError naming the session, role and
+        stream whose dim differs from the config."""
+        cfg = self.cfg
+        num_windows = -(-session.num_frames // cfg.core_len)
+        frames = np.arange(-cfg.context_len, num_windows * cfg.core_len + cfg.context_len)
+        keep = slice(cfg.context_len, cfg.context_len + cfg.core_len)
+        views: dict[str, dict[str, np.ndarray]] = {}
+        for role, encoder in self._stream_encoders().items():
+            streams = session.roles[role].streams
+            _check_bundle(streams, cfg, f"session '{session.session_id}': {role}")
+            views[role] = {}
+            for s in STREAMS:
+                # mode="clip" replicates the edge frames, as window_indices does
+                raw = np.take(streams[s], frames, axis=0, mode="clip").astype(
+                    cfg.np_dtype, copy=False)
+                timeline = encoder.project(s, T.constant(raw))
+                views[role][s] = sliding_window_view(
+                    timeline.data, cfg.window_len, axis=0).swapaxes(1, 2)[::cfg.core_len]
+
+        def windows(lo: int, hi: int):
+            cut = {role: ProjectedWindows({s: T.constant(view[lo:hi])
+                                           for s, view in role_views.items()}, keep)
+                   for role, role_views in views.items()}
+            return cut["target"], cut.get("partner")
+
+        return windows
 
     def predict_windows(self, batch) -> np.ndarray:
         """Eval-mode forward over a WindowBatch; returns clamped [B, L]."""

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .metrics import mse, ccc_loss, evaluate_sessions, EvalReport
-from .model import PARTNER_REQUIRED, save_checkpoint
+from .metrics import mse, ccc_loss, check_session, evaluate_sessions, EvalReport
+from .model import save_checkpoint
 from .segmentation import make_segments, build_mixed_batch
 
 
@@ -193,10 +193,10 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
 
     Checkpoints store the EMA weights, i.e. exactly what validation scored.
     Raises ValueError naming the session, before the first step, if a
-    training session has no frames or lacks the partner role the model
-    reads. Raises DivergenceError with the epoch/batch position if the loss
-    or any gradient goes non-finite, or the loss is 0/0 (a degenerate CCC
-    batch).
+    training session has no frames, a labeled validation session has fewer
+    than 2, or either lacks the partner role the model reads. Raises
+    DivergenceError with the epoch/batch position if the loss or any
+    gradient goes non-finite, or the loss is 0/0 (a degenerate CCC batch).
     """
     labeled = [s for s in train_sessions if s.roles["target"].labels is not None]
     if not labeled:
@@ -208,17 +208,13 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
-    reads_partner = "partner" in getattr(model, "roles", ())
-    pairs = []
-    for si, session in enumerate(labeled):
-        name = f"session '{session.session_id}'"
-        if reads_partner and "partner" not in session.roles:
-            raise ValueError(f"{name}: {PARTNER_REQUIRED}")
-        try:
-            segments = make_segments(session.num_frames, model.core_len, model.context_len)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-        pairs += [(si, seg) for seg in segments]
+    for session in labeled:
+        check_session(model, session)
+    for session in val_sessions or ():      # evaluate_sessions scores the labeled ones
+        if session.roles["target"].labels is not None:
+            check_session(model, session, scored=True)
+    pairs = [(si, seg) for si, session in enumerate(labeled)
+             for seg in make_segments(session.num_frames, model.core_len, model.context_len)]
 
     params = model.named_parameters()
     optimizer = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
@@ -233,7 +229,7 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         t0 = time.time()
         if cfg.lr_schedule == "cosine":
-            optimizer.lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
+            optimizer.lr = float(cfg.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs)))
         order = shuffle_rng.permutation(len(pairs))
         losses = []
         for bi, lo in enumerate(range(0, len(order), cfg.batch_size)):

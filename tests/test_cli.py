@@ -328,6 +328,20 @@ def test_eval_names_the_session_without_frames(tmp_path, capsys, predictor):
             f"got 0") in err
 
 
+def test_eval_names_the_session_too_short_to_score(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    synth_corpus(SynthConfig(sessions=1, num_frames=30, seed=4,
+                             feature_dims=dict(TOY_FEATURE_DIMS)), corpus)
+    short = synth_session(SynthConfig(sessions=1, num_frames=1, seed=4,
+                                      feature_dims=dict(TOY_FEATURE_DIMS)), 1)
+    save_session(corpus / "session_short", short)
+    flags = ["--ckpt", "oracle", "--preset", "desk"]
+    assert dispatch(["eval", "--data", str(corpus)] + flags) == 2
+    err = capsys.readouterr().err
+    assert (f"error[data]: session '{short.session_id}': CCC needs num_frames >= 2, "
+            f"got 1") in err
+
+
 def test_gradcheck_breach_is_numeric_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "GRADCHECK_SUITE", (("linear", 0.0),))
     assert dispatch(["gradcheck"]) == 3
@@ -484,6 +498,19 @@ def test_train_names_the_session_without_partner(tmp_path, capsys):
     assert f"error[data]: session '{session_id}': " in err
     assert "a partner bundle is required" in err
     assert not (tmp_path / "run" / "last.ckpt").exists()
+
+
+def test_train_names_the_validation_session_too_short_to_score(tmp_path, capsys):
+    train_dir, _ = synth_dirs(tmp_path, frames=30, sessions=1)
+    val_dir = tmp_path / "short"
+    synth_corpus(SynthConfig(sessions=1, num_frames=1, seed=4), val_dir, start_index=1)
+    session_id = load_sessions(val_dir)[0].session_id
+    assert dispatch(["train", "--data", str(train_dir), "--val", str(val_dir)]
+                    + fast_flags(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert (f"error[data]: session '{session_id}': CCC needs num_frames >= 2, "
+            f"got 1") in err
+    assert "epoch 0" not in out
 
 
 # ---------------------------------------------------------------- ablate

@@ -166,13 +166,11 @@ def test_evaluate_sessions_oracle_predictor():
 
 
 def test_evaluate_sessions_constant_predictor():
-    class ConstantPredictor:
-        core_len, context_len = 16, 8
+    class ConstantPredictor(LabelEchoPredictor):
+        def forward(self, target, partner=None, train=False):
+            return T.constant(np.full(target.shape, 0.5))
 
-        def predict_windows(self, batch):
-            return np.full(batch.labels.shape, 0.5)
-
-    report = evaluate_sessions(ConstantPredictor(), _sessions(2))
+    report = evaluate_sessions(ConstantPredictor(16, 8), _sessions(2))
     assert report.ccc_per_session == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
@@ -185,29 +183,46 @@ def test_evaluate_sessions_skips_unlabeled():
     assert report.skipped == [sessions[1].session_id]
 
 
-def test_predict_session_clamps_and_covers_timeline():
-    class WildPredictor:
-        core_len, context_len = 16, 8
+def test_label_echo_oracle_returns_the_target_labels():
+    """The oracle runs the models' batching and stitching loop, so at every
+    session length it gives back exactly the target labels."""
+    for core, context in ((32, 16), (32, 0)):      # the desk geometry, and no context
+        length = core + 2 * context
+        many = 2 * WINDOWS_PER_BATCH * core + 1     # three batches
+        for frames in (1, core - 1, length - 1, length, length + 1, many):
+            session = _sessions(1, frames=frames, seed=frames)[0]
+            series = predict_session(LabelEchoPredictor(core, context), session)
+            assert np.array_equal(series, session.roles["target"].labels), \
+                (core, context, frames)
 
-        def predict_windows(self, batch):
-            return np.full(batch.labels.shape, 7.5)
+
+def test_evaluate_sessions_names_a_session_too_short_to_score():
+    sessions = _sessions(2)
+    sessions[1] = _sessions(1, frames=1, seed=1)[0]
+    sessions[1].session_id = "one-frame"
+    with pytest.raises(ValueError, match="session 'one-frame': CCC needs num_frames >= 2"):
+        evaluate_sessions(LabelEchoPredictor(16, 8), sessions)
+
+
+def test_predict_session_clamps_and_covers_timeline():
+    class WildPredictor(LabelEchoPredictor):
+        def forward(self, target, partner=None, train=False):
+            return T.constant(np.full(target.shape, 7.5))
 
     session = _sessions(1, frames=50)[0]
-    series = predict_session(WildPredictor(), session)
+    series = predict_session(WildPredictor(16, 8), session)
     assert series.shape == (50,)
     assert np.all(series == 1.0)
 
 
 def test_predict_session_refuses_non_finite_predictions():
-    class NanPredictor:
-        core_len, context_len = 16, 8
-
-        def predict_windows(self, batch):
-            return np.full(batch.labels.shape, np.nan)
+    class NanPredictor(LabelEchoPredictor):
+        def forward(self, target, partner=None, train=False):
+            return T.constant(np.full(target.shape, np.nan))
 
     session = _sessions(1, frames=50)[0]
     with pytest.raises(T.NonFiniteError, match=session.session_id):
-        predict_session(NanPredictor(), session)
+        predict_session(NanPredictor(16, 8), session)
 
 
 def test_predict_session_batches_do_not_change_predictions():

@@ -218,6 +218,7 @@ class ConstantModel(Module):
     """Predicts one trainable level at every frame, whatever the input."""
 
     core_len, context_len = 8, 4
+    roles = ("target",)
 
     def __init__(self, level: float):
         self.level = Tensor(np.array([level]), requires_grad=True)
@@ -243,6 +244,37 @@ def test_train_requires_labeled_sessions():
     model = EngagementModel(toy_config(core_len=8, context_len=4), seed=5)
     with pytest.raises(ValueError):
         train(model, sessions, None, desk_train_cfg(), quiet=True)
+
+
+def test_train_checks_validation_sessions_before_the_first_step(monkeypatch):
+    model = EngagementModel(toy_config(core_len=8, context_len=4), seed=5)
+    calls = []
+    forward = model.forward
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("train"))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counting)
+    val = tiny_sessions(2, seed=1)
+    del val[1].roles["partner"]
+    with pytest.raises(ValueError, match=f"session '{val[1].session_id}': .*partner"):
+        train(model, tiny_sessions(1), val, desk_train_cfg(), quiet=True)
+    assert calls == []
+
+
+def test_cosine_schedule_hands_adam_a_python_float(monkeypatch):
+    seen = []
+    step = Adam.step
+
+    def recording(self):
+        seen.append(type(self.lr) is float)
+        step(self)
+
+    monkeypatch.setattr(Adam, "step", recording)
+    model = EngagementModel(toy_config(core_len=8, context_len=4, dtype="float32"), seed=5)
+    train(model, tiny_sessions(1), None, desk_train_cfg(lr_schedule="cosine"), quiet=True)
+    assert seen and all(seen)
 
 
 def test_loss_ignores_non_core_labels(rng):
