@@ -12,8 +12,9 @@ rng = np.random.default_rng(0)
 w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
 x = T.constant(rng.standard_normal((5, 3)))
 
-# Ops tape themselves as they run: y = softmax(x @ w), loss = sum(y^2).
-y = T.softmax(T.matmul(x, w), axis=-1)
+# Ops tape themselves as they run: y = gelu(x @ w), loss = sum(y^2).
+# T.linear is the one affine op: x @ w (+ bias) over any leading dims.
+y = T.gelu(T.linear(x, w))
 loss = T.tensor_sum(T.mul(y, y))
 print(f"loss = {loss.item():.6f}")
 
@@ -23,8 +24,7 @@ print("dloss/dw =")
 print(w.grad)
 
 # The same gradient, checked against (f(w+h) - f(w-h)) / 2h per coordinate.
-err = grad_check(lambda: T.tensor_sum(T.mul(T.softmax(T.matmul(x, w), -1),
-                                            T.softmax(T.matmul(x, w), -1))),
+err = grad_check(lambda: T.tensor_sum(T.mul(T.gelu(T.linear(x, w)), T.gelu(T.linear(x, w)))),
                  [("w", w)], h=1e-5)
 print(f"max relative error vs finite differences: {err:.2e}")
 

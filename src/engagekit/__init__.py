@@ -14,7 +14,7 @@ Submodules:
 from .tensor import Tensor, backward, grad_check, no_grad
 from .model import (ModelConfig, EngagementModel, BaselineModel, param_count,
                     save_checkpoint, load_checkpoint, STREAMS, DEFAULT_FEATURE_DIMS)
-from .segmentation import Segment, make_segments, extract_window, reassemble
+from .segmentation import Segment, make_segments, reassemble
 from .metrics import mse, ccc, ccc_loss, evaluate_sessions, EvalReport
 from .training import TrainConfig, Adam, EmaState, train, evaluate_with_ema
 from .data import (SessionRecord, SynthConfig, synth_session, synth_corpus,
@@ -26,7 +26,7 @@ __all__ = [
     "Tensor", "backward", "grad_check", "no_grad",
     "ModelConfig", "EngagementModel", "BaselineModel", "param_count",
     "save_checkpoint", "load_checkpoint", "STREAMS", "DEFAULT_FEATURE_DIMS",
-    "Segment", "make_segments", "extract_window", "reassemble",
+    "Segment", "make_segments", "reassemble",
     "mse", "ccc", "ccc_loss", "evaluate_sessions", "EvalReport",
     "TrainConfig", "Adam", "EmaState", "train", "evaluate_with_ema",
     "SessionRecord", "SynthConfig", "synth_session", "synth_corpus",

@@ -150,6 +150,8 @@ def print_resolved(tag: str, *configs) -> None:
 # ---------------------------------------------------------------- subcommands
 
 def cmd_synth(args) -> int:
+    if args.start_index < 0:
+        raise CliUsageError(f"--start-index must be >= 0, got {args.start_index}")
     try:
         cfg = SynthConfig(sessions=args.sessions, num_frames=args.frames, seed=args.seed,
                           quantize_levels=args.quantize_levels)

@@ -193,11 +193,11 @@ def load_session(directory) -> SessionRecord:
     if missing:
         raise DataFormatError(f"{directory}: manifest.json lacks {', '.join(missing)}")
     num_frames, dims = manifest["num_frames"], manifest["feature_dims"]
-    if not isinstance(num_frames, int) or num_frames < 0:
+    if type(num_frames) is not int or num_frames < 0:  # JSON true is an int to isinstance
         raise DataFormatError(f"{directory}: manifest num_frames must be a non-negative "
                               f"integer, got {num_frames!r}")
     if not (isinstance(dims, dict) and set(STREAMS) <= dims.keys()
-            and all(isinstance(dims[name], int) and dims[name] >= 1 for name in STREAMS)):
+            and all(type(dims[name]) is int and dims[name] >= 1 for name in STREAMS)):
         raise DataFormatError(f"{directory}: manifest feature_dims must give a positive "
                               f"integer for each of the streams {', '.join(STREAMS)}")
     if (not isinstance(manifest["roles"], list) or "target" not in manifest["roles"]
@@ -205,7 +205,7 @@ def load_session(directory) -> SessionRecord:
         raise DataFormatError(f"{directory}: manifest roles must be a list of names "
                               f"that includes 'target'")
     frame_rate = manifest.get("frame_rate_hz", FRAME_RATE_HZ)
-    if not isinstance(frame_rate, (int, float)) or not frame_rate > 0:
+    if type(frame_rate) not in (int, float) or not frame_rate > 0:
         raise DataFormatError(f"{directory}: manifest frame_rate_hz must be a positive "
                               f"number, got {frame_rate!r}")
     roles = {}

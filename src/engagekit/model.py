@@ -88,6 +88,19 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        if not isinstance(self.feature_dims, dict) or set(self.feature_dims) != set(STREAMS):
+            raise ValueError(f"feature_dims must have exactly the streams {STREAMS}")
+        # Types next: a checkpoint may hold any JSON value, and true is an int to isinstance.
+        ints = [(k, getattr(self, k)) for k in ("model_dim", "cross_layers", "heads", "core_len",
+                                                "context_len", "encoder_depth", "ffn_mult")]
+        for name, value in ints + [(f"feature_dims.{k}", v) for k, v in self.feature_dims.items()]:
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.dropout, (int, float)) or type(self.dropout) is bool:
+            raise TypeError(f"dropout must be a number, got {self.dropout!r}")
+        for name in ("use_group_fusion", "use_partner_cross"):
+            if type(getattr(self, name)) is not bool:
+                raise TypeError(f"{name} must be true or false, got {getattr(self, name)!r}")
         d, h = self.model_dim, self.heads
         if d < 1 or h < 1:
             raise ValueError(f"need model_dim >= 1 and heads >= 1, got {d} and {h}")
@@ -97,8 +110,6 @@ class ModelConfig:
             raise ValueError("need core_len >= 1 and context_len >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if set(self.feature_dims) != set(STREAMS):
-            raise ValueError(f"feature_dims must have exactly the streams {STREAMS}")
         if any(v < 1 for v in self.feature_dims.values()):
             raise ValueError("feature dims must be positive")
         if self.cross_layers < 1 or self.encoder_depth < 1:

@@ -79,14 +79,6 @@ def core_mask(segment: Segment) -> np.ndarray:
     return mask
 
 
-def extract_window(session, segment: Segment, role: str) -> dict[str, np.ndarray]:
-    """Gather one role's feature rows over a window; replicated at the edges."""
-    if role not in session.roles:
-        raise KeyError(f"session '{session.session_id}' has no role '{role}'")
-    idx = window_indices(segment, session.num_frames)
-    return {name: arr[idx] for name, arr in session.roles[role].streams.items()}
-
-
 def window_labels(session, segment: Segment, role: str = "target") -> np.ndarray:
     labels = session.roles[role].labels
     if labels is None:

@@ -3,9 +3,8 @@
 Covers exactly the operations the engagement model needs: the two fused
 nodes the network is built from, ``linear`` (an affine map over any leading
 dims as one gemm) and ``attention`` (multi-head scaled dot-product attention,
-heads split and merged inside the op); matrix products with broadcastable
-batch dims, softmax, layer norm, pointwise ops, concat, reshape/transpose,
-and scalar reductions, plus inverted dropout as one node.
+heads split and merged inside the op); layer norm, gelu, pointwise ops,
+concat, reshape and scalar reductions, plus inverted dropout as one node.
 
 A thread-local tape records the forward pass in creation order (which is
 already a topological order) as ``(slot, backward_fn)`` pairs. A slot is
@@ -20,15 +19,14 @@ and only the arrays its formula reads, so an activation that no backward
 reads is freed as soon as the forward drops it. Per op, it keeps:
 
 - ``linear``: the flattened input if the weight needs a gradient, the weight if the input does;
-- ``matmul``, ``mul``: each operand only if the other one needs a gradient;
+- ``mul``: each operand only if the other one needs a gradient;
 - ``div``: the divisor, and the dividend if the divisor needs a gradient;
 - ``attention``: the scaled queries, the key and value views, and ``P``;
 - ``layer_norm``: x̂, 1/σ and gamma;
 - ``gelu``: its input and ``h``;
-- ``softmax``: its output;
 - ``dropout``: the boolean keep mask (one byte per unit) and the scale;
-- ``add``, ``sub``, ``scale``, ``shift``, ``concat``, ``reshape``,
-  ``transpose``, ``sum``: no array.
+- ``add``, ``sub``, ``scale``, ``shift``, ``concat``, ``reshape``, ``sum``:
+  no array.
 
 Float64 is the default dtype so finite-difference checks are meaningful;
 float32 arrays pass through unchanged for training throughput.
@@ -212,28 +210,6 @@ def as_tensor(x) -> Tensor:
 def constant(x) -> Tensor:
     """Non-trainable tensor wrapping `x` (no copy of a float array)."""
     return Tensor(x, requires_grad=False)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >= 2-d, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims disagree for shapes {a.shape} and {b.shape}")
-    out_data = np.matmul(a.data, b.data)
-    sa, sb = _slot_of(a), _slot_of(b)
-    a_shape, b_shape = a.shape, b.shape
-    a_data = a.data if sb is not None else None
-    b_data = b.data if sa is not None else None
-
-    def backward(g: np.ndarray) -> None:
-        if sa is not None:
-            da = np.matmul(g, np.swapaxes(b_data, -1, -2))
-            _accumulate(sa, _unbroadcast(da, a_shape))
-        if sb is not None:
-            db = np.matmul(np.swapaxes(a_data, -1, -2), g)
-            _accumulate(sb, _unbroadcast(db, b_shape))
-
-    return _record("matmul", (sa, sb), out_data, backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -475,20 +451,6 @@ def dropout(a: Tensor, keep: np.ndarray, scale: np.floating) -> Tensor:
     return _record("dropout", (sa,), out_data, backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    out_data = a.data - np.max(a.data, axis=axis, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= np.sum(out_data, axis=axis, keepdims=True)
-    sa = _slot_of(a)
-
-    def backward(g: np.ndarray) -> None:
-        dx = g - np.sum(g * out_data, axis=axis, keepdims=True)
-        dx *= out_data
-        _accumulate(sa, dx)
-
-    return _record("softmax", (sa,), out_data, backward)
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
@@ -556,18 +518,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         _accumulate(sa, g.reshape(a_shape))
 
     return _record("reshape", (sa,), out_data, backward)
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    out_data = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
-    sa = _slot_of(a)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(sa, np.transpose(g, inverse))
-
-    return _record("transpose", (sa,), out_data, backward)
 
 
 def tensor_sum(a: Tensor) -> Tensor:

@@ -118,6 +118,11 @@ def _set_shape(index: int, shape: list):
     return edit
 
 
+def _set_config(**fields):
+    """Manifest edit that sets config ``fields``."""
+    return lambda m: {**m, "config": {**m["config"], **fields}}
+
+
 @pytest.mark.parametrize("damage, named", [
     pytest.param({"version": 1}, "version 1", id="version_1"),
     pytest.param({"drop": "head.norm.gamma"}, "'head.norm.gamma'", id="missing_param"),
@@ -137,6 +142,21 @@ def _set_shape(index: int, shape: list):
                  "float64 values", id="dtype_mismatch"),
     pytest.param({"edit": lambda m: {**m, "config": {**m["config"], "heads": 0}}},
                  "heads >= 1", id="zero_heads"),
+    pytest.param({"edit": _set_config(model_dim=8.0)}, "model_dim must be an integer",
+                 id="model_dim_float"),
+    pytest.param({"edit": _set_config(heads=2.0)}, "heads must be an integer", id="heads_float"),
+    pytest.param({"edit": _set_config(core_len=True)}, "core_len must be an integer",
+                 id="core_len_bool"),
+    pytest.param({"edit": _set_config(feature_dims={**TOY_FEATURE_DIMS, "clip": 6.0})},
+                 "feature_dims.clip must be an integer", id="feature_dim_float"),
+    pytest.param({"edit": _set_config(feature_dims={**TOY_FEATURE_DIMS, "clip": True})},
+                 "feature_dims.clip must be an integer", id="feature_dim_bool"),
+    pytest.param({"edit": _set_config(dropout="0.1")}, "dropout must be a number",
+                 id="dropout_string"),
+    pytest.param({"edit": _set_config(dropout=False)}, "dropout must be a number",
+                 id="dropout_bool"),
+    pytest.param({"edit": _set_config(use_group_fusion=1)},
+                 "use_group_fusion must be true or false", id="flag_int"),
     pytest.param({"patch": lambda raw: b"XATC" + raw[4:]}, "bad checkpoint magic",
                  id="bad_magic"),
     pytest.param({"patch": lambda raw: raw[:8] + struct.pack("<Q", len(raw)) + raw[16:]},
@@ -181,6 +201,11 @@ def _manifest_without(key: str):
                  "feature_dims", id="stream_dim_null"),
     pytest.param(lambda m: {**m, "frame_rate_hz": None}, "frame_rate_hz",
                  id="frame_rate_null"),
+    pytest.param(lambda m: {**m, "num_frames": True}, "num_frames", id="num_frames_bool"),
+    pytest.param(lambda m: {**m, "feature_dims": {**m["feature_dims"], "clip": True}},
+                 "feature_dims", id="stream_dim_bool"),
+    pytest.param(lambda m: {**m, "frame_rate_hz": True}, "frame_rate_hz",
+                 id="frame_rate_bool"),
     pytest.param(lambda m: {**m, "roles": "target"}, "roles", id="roles_not_list"),
     pytest.param(lambda m: {**m, "roles": ["partner"]}, "'target'", id="no_target_role"),
 ])
@@ -368,6 +393,13 @@ def test_synth_twice_is_byte_identical(tmp_path, capsys):
 def test_synth_bad_count_is_usage_error(tmp_path, capsys, flag, value):
     assert dispatch(["synth", "--out", str(tmp_path / "s"), flag, value]) == 1
     assert "error[usage]" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_synth_negative_start_index_is_usage_error(tmp_path, capsys):
+    assert dispatch(["synth", "--out", str(tmp_path / "s"), "--start-index", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and "--start-index must be >= 0, got -1" in err
     assert not (tmp_path / "s").exists()
 
 

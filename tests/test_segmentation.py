@@ -3,7 +3,7 @@ import pytest
 
 from engagekit.data import SynthConfig, synth_session
 from engagekit.segmentation import (make_segments, window_indices, core_mask,
-                                    extract_window, window_labels, reassemble,
+                                    window_labels, reassemble,
                                     build_window_batch, build_mixed_batch)
 
 from conftest import TOY_FEATURE_DIMS
@@ -73,22 +73,20 @@ def test_extract_window_interior_is_raw_slice():
     session = tiny_session(64)
     seg = make_segments(64, 8, 4)[3]    # fully interior
     assert seg.left_pad == 0 and seg.right_pad == 0
-    window = extract_window(session, seg, "target")
+    window = build_window_batch(session, [seg]).target
     for name, arr in window.items():
         raw = session.roles["target"].streams[name][seg.start:seg.end]
-        assert np.array_equal(arr, raw)
+        assert np.array_equal(arr[0], raw)
 
 
 def test_extract_window_edge_replication():
     session = tiny_session(16)
     seg = make_segments(16, 8, 2)[0]
-    window = extract_window(session, seg, "target")
+    window = build_window_batch(session, [seg]).target
     for name, arr in window.items():
         first = session.roles["target"].streams[name][0]
-        assert np.array_equal(arr[0], first)
-        assert np.array_equal(arr[1], first)
-    with pytest.raises(KeyError):
-        extract_window(session, seg, "observer")
+        assert np.array_equal(arr[0, 0], first)
+        assert np.array_equal(arr[0, 1], first)
 
 
 def test_extract_cores_reproduce_session():
@@ -97,8 +95,8 @@ def test_extract_cores_reproduce_session():
         session = tiny_session(int(T_), seed=int(T_))
         segs = make_segments(int(T_), 16, 8)
         stream = session.roles["target"].streams["clip"]
-        cores = [extract_window(session, g, "target")["clip"]
-                 [g.core_offset:g.core_offset + g.core_len] for g in segs]
+        windows = build_window_batch(session, segs).target["clip"]
+        cores = [w[g.core_offset:g.core_offset + g.core_len] for w, g in zip(windows, segs)]
         assert np.array_equal(np.concatenate(cores), stream)
 
 
@@ -153,12 +151,14 @@ def test_mixed_batch_equals_stacked_windows():
     assert items[0][1].left_pad > 0 and items[-1][1].right_pad > 0
     batch = build_mixed_batch(items)
     for role in ("target", "partner"):
-        rows = [extract_window(s, g, role) for s, g in items]
+        streams = [s.roles[role].streams for s, _ in items]
         stacked = getattr(batch, role)
-        assert list(stacked) == list(rows[0])
+        assert list(stacked) == list(streams[0])
         for name, arr in stacked.items():
-            assert arr.dtype == rows[0][name].dtype
-            assert np.array_equal(arr, np.stack([r[name] for r in rows]))
+            assert arr.dtype == streams[0][name].dtype
+            expected = [st[name][window_indices(g, s.num_frames)]
+                        for st, (s, g) in zip(streams, items)]
+            assert np.array_equal(arr, np.stack(expected))
     assert np.array_equal(batch.labels, np.stack([window_labels(s, g) for s, g in items]))
     assert np.array_equal(batch.mask, np.stack([core_mask(g) for _, g in items]))
 

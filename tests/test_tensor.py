@@ -14,50 +14,6 @@ def t(data, grad=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
 
 
-# ---------------------------------------------------------------- matmul
-
-def test_matmul_identity():
-    a = t([[1.0, 2.0], [3.0, 4.0]])
-    eye = t(np.eye(2), grad=False)
-    out = T.matmul(a, eye)
-    assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_matmul_forced_arithmetic():
-    out = T.matmul(t([[1.0, 2.0]]), t([[3.0], [4.0]]))
-    assert out.data.shape == (1, 1)
-    assert out.data[0, 0] == 11.0  # 1*3 + 2*4
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(T.ShapeError) as err:
-        T.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
-    assert "(2, 3)" in str(err.value)
-
-
-def test_matmul_grad_against_closed_form_and_fd():
-    rng = np.random.default_rng(0)
-    a = t(rng.standard_normal((3, 4)))
-    b = t(rng.standard_normal((4, 5)))
-    backward(T.tensor_sum(T.matmul(a, b)))
-    assert np.allclose(a.grad, np.ones((3, 5)) @ b.data.T)
-    assert np.allclose(b.grad, a.data.T @ np.ones((3, 5)))
-
-    err = grad_check(lambda: T.tensor_sum(T.matmul(a, b)), [("a", a), ("b", b)], h=1e-5)
-    assert err < 1e-6
-
-
-def test_matmul_batched_broadcast_grad():
-    rng = np.random.default_rng(1)
-    x = t(rng.standard_normal((2, 3, 4)))   # batch of matrices
-    w = t(rng.standard_normal((4, 5)))      # shared weight
-    out = T.matmul(x, w)
-    assert out.shape == (2, 3, 5)
-    err = grad_check(lambda: T.tensor_sum(T.mul(T.matmul(x, w), T.matmul(x, w))),
-                     [("x", x), ("w", w)], h=1e-5)
-    assert err < 1e-6
-
-
 # ---------------------------------------------------------------- linear
 
 @pytest.mark.parametrize("with_bias", [True, False])
@@ -80,26 +36,34 @@ def test_linear_matches_matmul_add():
     x = t(rng.standard_normal((3, 7, 5)), grad=False)
     w = t(rng.standard_normal((5, 4)), grad=False)
     b = t(rng.standard_normal(4), grad=False)
-    np.testing.assert_allclose(T.linear(x, w, b).data, T.add(T.matmul(x, w), b).data,
-                               rtol=1e-12)
+    np.testing.assert_allclose(T.linear(x, w, b).data, x.data @ w.data + b.data, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- attention
 
-def composed_attention(q, k, v, heads):
-    """The unfused reference: split heads, scaled scores, softmax, context."""
+def numpy_attention(q, k, v, heads, g):
+    """Per-head ``softmax(q k^T / sqrt(d_k)) v`` and its textbook gradients
+    for the upstream gradient ``g``, in plain numpy."""
     b, lq, d = q.shape
     lk = k.shape[1]
     d_k = d // heads
+    s = 1.0 / math.sqrt(d_k)
 
     def split(a, length):
-        return T.transpose(T.reshape(a, (b, length, heads, d_k)), (0, 2, 1, 3))
+        return a.reshape(b, length, heads, d_k).transpose(0, 2, 1, 3)
 
-    scores = T.scale(T.matmul(split(q, lq), T.transpose(split(k, lk), (0, 1, 3, 2))),
-                     1.0 / math.sqrt(d_k))
-    weights = T.softmax(scores, axis=-1)
-    ctx = T.transpose(T.matmul(weights, split(v, lk)), (0, 2, 1, 3))
-    return T.reshape(ctx, (b, lq, d)), weights.data
+    def merge(a, length):
+        return a.transpose(0, 2, 1, 3).reshape(b, length, d)
+
+    qh, kh, vh, gh = split(q, lq), split(k, lk), split(v, lk), split(g, lq)
+    scores = qh @ kh.swapaxes(-1, -2) * s
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dp = gh @ vh.swapaxes(-1, -2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    return (merge(p @ vh, lq), p,
+            merge(ds @ kh * s, lq), merge(ds.swapaxes(-1, -2) @ qh * s, lk),
+            merge(p.swapaxes(-1, -2) @ gh, lk))
 
 
 def test_attention_matches_composed_chain():
@@ -108,18 +72,14 @@ def test_attention_matches_composed_chain():
     k = t(rng.standard_normal((2, 5, 8)))
     v = t(rng.standard_normal((2, 5, 8)))
     c = rng.standard_normal((2, 3, 8))
-    results = []
-    for op in (T.attention, composed_attention):
-        out, weights = op(q, k, v, 2)
-        backward(T.tensor_sum(T.mul(out, T.constant(c))))
-        results.append((out.data, weights, q.grad, k.grad, v.grad))
-        for x in (q, k, v):
-            x.zero_grad()
-    fused, composed = results
+    out, weights = T.attention(q, k, v, 2)
+    backward(T.tensor_sum(T.mul(out, T.constant(c))))
+    fused = (out.data, weights, q.grad, k.grad, v.grad)
+    reference = numpy_attention(q.data, k.data, v.data, 2, c)
     assert fused[1].shape == (2, 2, 3, 5)
-    for a, b in zip(fused[:2], composed[:2]):
+    for a, b in zip(fused[:2], reference[:2]):
         np.testing.assert_allclose(a, b, rtol=1e-12)
-    for a, b in zip(fused[2:], composed[2:]):
+    for a, b in zip(fused[2:], reference[2:]):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
 
 
@@ -149,34 +109,6 @@ def test_attention_shape_errors():
         T.attention(x, t(np.zeros((2, 3, 6))), t(np.zeros((2, 3, 6))), 2)
     with pytest.raises(T.ShapeError):
         T.attention(x, x, x, 3)
-
-
-# ---------------------------------------------------------------- softmax
-
-def test_softmax_symmetry_and_overflow():
-    assert np.allclose(T.softmax(t([0.0, 0.0])).data, [0.5, 0.5])
-    big = T.softmax(t([1000.0, 1000.0]))
-    assert np.all(np.isfinite(big.data))
-    assert np.allclose(big.data, [0.5, 0.5])
-
-
-def test_softmax_direct_value():
-    out = T.softmax(t([0.0, math.log(3.0)]))
-    assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(2)
-    x = T.softmax(t(rng.standard_normal((7, 11)) * 20), axis=-1)
-    assert np.max(np.abs(x.data.sum(axis=-1) - 1.0)) < 1e-12
-
-
-def test_softmax_grad_fd():
-    rng = np.random.default_rng(3)
-    x = t(rng.standard_normal((4, 6)))
-    c = T.constant(rng.standard_normal((4, 6)))
-    err = grad_check(lambda: T.tensor_sum(T.mul(T.softmax(x, -1), c)), [("x", x)])
-    assert err < 1e-6
 
 
 # ---------------------------------------------------------------- layer norm
@@ -495,11 +427,11 @@ def test_no_grad_blocks_recording():
 
 def test_forward_is_deterministic():
     rng = np.random.default_rng(10)
-    data = rng.standard_normal((5, 5))
+    data = rng.standard_normal((2, 5, 5))
     outs = []
     for _ in range(2):
         x = t(data.copy())
-        outs.append(T.softmax(T.matmul(x, x), -1).data.tobytes())
+        outs.append(T.attention(x, x, x, 1)[0].data.tobytes())
     assert outs[0] == outs[1]
 
 
@@ -513,7 +445,7 @@ def test_grad_check_linear_layer():
     c = T.constant(rng.standard_normal((6, 3)))
 
     def f():
-        return T.tensor_sum(T.mul(T.add(T.matmul(x, w), b), c))
+        return T.tensor_sum(T.mul(T.linear(x, w, b), c))
 
     err = grad_check(f, [("w", w), ("b", b)])
     assert err < 1e-6
