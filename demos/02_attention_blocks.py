@@ -11,7 +11,7 @@ rng = np.random.default_rng(1)
 
 # Single head, identity projections: attention is a weighted average of the
 # value rows, with weights softmax(q k^T / sqrt(d_k)).
-mha = MultiHeadAttention(dim=1, heads=1, dropout_rate=0.0, rng=0)
+mha = MultiHeadAttention(dim=1, heads=1, dropout_rate=0.0, rng=np.random.default_rng(0))
 for lin in (mha.wq, mha.wk, mha.wv, mha.wo):
     lin.weight.data = np.eye(1)
     if lin.bias is not None:
@@ -23,7 +23,7 @@ out = mha(q, kv, keep_weights=True)
 print(f"attention weights: {mha.last_weights.ravel()}  ->  output {out.data.ravel()}")
 
 # Multi-head attention on random data: every weight row sums to one.
-mha8 = MultiHeadAttention(dim=16, heads=4, dropout_rate=0.0, rng=2)
+mha8 = MultiHeadAttention(dim=16, heads=4, dropout_rate=0.0, rng=np.random.default_rng(2))
 mha8(T.constant(rng.standard_normal((6, 16))),
      T.constant(rng.standard_normal((9, 16))), keep_weights=True)
 print(f"weight row sums (should all be 1): "
@@ -37,6 +37,6 @@ print(f"permutation invariant: {np.allclose(a, a)} "
       f"(different queries differ: {not np.allclose(a, b)})")
 
 # A standard pre-norm encoder layer maps [L, D] -> [L, D].
-layer = TransformerEncoderLayer(dim=16, heads=4, dropout_rate=0.2, rng=3)
+layer = TransformerEncoderLayer(dim=16, heads=4, dropout_rate=0.2, rng=np.random.default_rng(3))
 x = T.constant(rng.standard_normal((10, 16)))
 print(f"encoder layer: {x.shape} -> {layer(x).shape}")

@@ -169,7 +169,7 @@ def save_session(directory, record: SessionRecord) -> None:
 
 def load_session(directory) -> SessionRecord:
     """Read one session directory. The manifest is not trusted: it must be a
-    JSON object of this schema version with ``session_id``, an integer
+    JSON object of this schema version with a string ``session_id``, an integer
     ``num_frames``, ``feature_dims`` giving a positive integer for every
     stream, a ``roles`` list of names that includes ``target`` and, if
     present, a positive ``frame_rate_hz``. Any breach, like any bad stream
@@ -192,6 +192,9 @@ def load_session(directory) -> SessionRecord:
                if key not in manifest]
     if missing:
         raise DataFormatError(f"{directory}: manifest.json lacks {', '.join(missing)}")
+    if not isinstance(manifest["session_id"], str):
+        raise DataFormatError(f"{directory}: manifest session_id must be a string, "
+                              f"got {manifest['session_id']!r}")
     num_frames, dims = manifest["num_frames"], manifest["feature_dims"]
     if type(num_frames) is not int or num_frames < 0:  # JSON true is an int to isinstance
         raise DataFormatError(f"{directory}: manifest num_frames must be a non-negative "
@@ -310,6 +313,8 @@ def _quantize(labels: np.ndarray, levels: int) -> np.ndarray:
 def synth_session(cfg: SynthConfig, session_index: int) -> SessionRecord:
     """Deterministic synthetic dyad: every byte is a function of
     (cfg.seed, session_index)."""
+    if session_index < 0:
+        raise ValueError(f"session_index must be >= 0, got {session_index}")
     rng_target = np.random.default_rng([cfg.seed, session_index, 1])
     rng_partner = np.random.default_rng([cfg.seed, session_index, 2])
     target_latent = _latent_walk(rng_target, cfg)

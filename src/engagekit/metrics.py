@@ -39,9 +39,8 @@ def _masked_pair(pred: Tensor, label, mask):
     return label, T.constant(m), count
 
 
-def mse(pred, label, mask=None) -> Tensor:
+def mse(pred: Tensor, label, mask=None) -> Tensor:
     """Mean squared error over the masked frames; differentiable in `pred`."""
-    pred = T.as_tensor(pred)
     label, m, count = _masked_pair(pred, label, mask)
     if count < 1:
         raise ValueError("mse: mask selects no frames")
@@ -78,7 +77,7 @@ def ccc(x, y) -> float:
     return float(2.0 * cov / denom)
 
 
-def ccc_loss(pred, label, mask=None) -> Tensor:
+def ccc_loss(pred: Tensor, label, mask=None) -> Tensor:
     """1 - CCC over the masked frames, differentiable in `pred`.
 
     All masked frames of the batch are pooled into one pair of series. Fewer
@@ -86,7 +85,6 @@ def ccc_loss(pred, label, mask=None) -> Tensor:
     series are constant with equal means and CCC is 0/0, raises
     ``NonFiniteError``.
     """
-    pred = T.as_tensor(pred)
     label, m, count = _masked_pair(pred, label, mask)
     if count < 2:
         raise ValueError(f"ccc_loss: need >= 2 masked frames, got {int(count)}")

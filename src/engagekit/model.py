@@ -12,10 +12,10 @@ independently, which gives the ablation arms; a solo baseline variant
 
 Both architectures share one base, which alone decides the model dtype: the
 blocks build in float64 and it casts each top-level block to ``cfg.dtype``
-once, as the block is assigned.
-Its ``forward`` checks the target bundle, runs the architecture's own feature
-path to the fused 5d features, applies the prediction head and clamps to
-[0, 1] in eval mode. ``MODELS`` maps a checkpoint's arch name to its class.
+once, as the block is assigned. Its ``forward`` checks the input bundles
+before any layer runs, then runs the architecture's own feature path to the
+fused 5d features, applies the prediction head and clamps to [0, 1] in eval
+mode. ``MODELS`` maps a checkpoint's arch name to its class.
 
 Session scoring has its own path: ``project_session`` returns a
 ``windows(lo, hi)`` cutter whose batches ``metrics.predict_session`` feeds to
@@ -206,26 +206,17 @@ class StreamEncoders(Module):
                        for s in STREAMS}
         self.positional = PositionalEncoding(cfg.window_len, d)
 
-    def project(self, stream: str, x: Tensor) -> Tensor:
-        """One stream's input projection to d. It is frame-local (the
-        positional table is added after it), so it applies to windows and to
-        a whole session timeline alike."""
-        return self.proj[stream](x)
-
-    def encode(self, projected: dict[str, Tensor], train: bool, rng,
-               keep: slice = slice(None)) -> dict[str, Tensor]:
-        """Positional add and the encoder stack, per stream, over projected
-        ``[.., L, d]`` windows; each stack's last layer computes only the
-        window rows ``keep``."""
+    def __call__(self, bundle, train: bool, rng, keep: slice = slice(None)) -> dict[str, Tensor]:
+        """Projection, positional add and the encoder stack, per stream; each
+        stack's last layer computes only the window rows ``keep``. Raw stream
+        bundles are projected here; ``ProjectedWindows`` were projected once
+        for their whole session."""
+        if isinstance(bundle, ProjectedWindows):
+            projected = bundle.streams
+        else:
+            projected = {s: self.proj[s](bundle[s]) for s in STREAMS}
         return {s: _stack(self.layers[s], self.positional(projected[s]), train, rng, keep)
                 for s in STREAMS}
-
-    def __call__(self, bundle, train: bool, rng, keep: slice = slice(None)) -> dict[str, Tensor]:
-        """Raw stream bundles are projected here; ``ProjectedWindows`` were
-        projected once for their whole session."""
-        if isinstance(bundle, ProjectedWindows):
-            return self.encode(bundle.streams, train, rng, keep)
-        return self.encode({s: self.project(s, bundle[s]) for s in STREAMS}, train, rng, keep)
 
 
 class GroupFusion(Module):
@@ -317,13 +308,13 @@ class _Architecture(Module):
     dtype: ``__init__`` seeds the init generator and calls the subclass's
     ``_build(rng)``, which builds its float64 blocks and ``head`` in a fixed
     draw order and passes each through ``_owned`` as it assigns it. A subclass
-    also defines ``_features(target, length, partner, train, rng, keep)``, its
-    path from the checked target bundle (of ``length`` frames) to the fused
-    ``[.., L, 5d]`` features the head reads, and ``_stream_encoders()``, the
-    ``StreamEncoders`` of each role it reads. ``_features`` returns only the
-    window rows ``keep``: it passes ``keep`` to the last layer of whichever
-    stack is next read row by row, so that layer computes only those rows
-    and every layer before it still sees the whole window."""
+    also defines ``_features(target, partner, train, rng, keep)``, its path
+    from the checked bundles to the fused ``[.., L, 5d]`` features the head
+    reads, and ``_stream_encoders()``, the ``StreamEncoders`` of each role it
+    reads. ``_features`` returns only the window rows ``keep``: it passes
+    ``keep`` to the last layer of whichever stack is next read row by row, so
+    that layer computes only those rows and every layer before it still sees
+    the whole window."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
@@ -354,11 +345,18 @@ class _Architecture(Module):
         ``project_session`` instead, in eval mode under ``no_grad``; the
         output then holds only each window's ``keep`` rows."""
         if isinstance(target, ProjectedWindows):
-            length, keep = None, target.keep
+            keep = target.keep
         else:
             target = as_bundle(target, self.cfg.np_dtype)
             length, keep = _check_bundle(target, self.cfg, "target"), slice(None)
-        y = self.head(self._features(target, length, partner, train, rng, keep), train, rng)
+            if "partner" in self.roles:
+                if partner is None:
+                    raise ValueError(PARTNER_REQUIRED)
+                partner = as_bundle(partner, self.cfg.np_dtype)
+                len_p = _check_bundle(partner, self.cfg, "partner")
+                if len_p != length:
+                    raise T.ShapeError(f"target length {length} != partner length {len_p}")
+        y = self.head(self._features(target, partner, train, rng, keep), train, rng)
         if not train:
             y = T.constant(np.clip(y.data, 0.0, 1.0))
         return y
@@ -390,7 +388,7 @@ class _Architecture(Module):
                 # mode="clip" replicates the edge frames, as window_indices does
                 raw = np.take(streams[s], frames, axis=0, mode="clip").astype(
                     cfg.np_dtype, copy=False)
-                timeline = encoder.project(s, T.constant(raw))
+                timeline = encoder.proj[s](T.constant(raw))
                 views[role][s] = sliding_window_view(
                     timeline.data, cfg.window_len, axis=0).swapaxes(1, 2)[::cfg.core_len]
 
@@ -435,18 +433,11 @@ class EngagementModel(_Architecture):
             return {"target": self.target_fusion.streams}
         return {"target": self.target_fusion.streams, "partner": self.partner_fusion.streams}
 
-    def _features(self, target, length, partner, train, rng, keep) -> Tensor:
+    def _features(self, target, partner, train, rng, keep) -> Tensor:
         cfg = self.cfg
         if not cfg.use_partner_cross:
             return T.concat(self.target_fusion(target, train, rng, keep), axis=-1)
         audio, video = self.target_fusion(target, train, rng)
-        if partner is None:
-            raise ValueError(PARTNER_REQUIRED)
-        if not isinstance(partner, ProjectedWindows):
-            partner = as_bundle(partner, cfg.np_dtype)
-            len_p = _check_bundle(partner, cfg, "partner")
-            if len_p != length:
-                raise T.ShapeError(f"target length {length} != partner length {len_p}")
         # The partner's fused features are the cross layers' queries, so one
         # cross layer reads only their kept rows.
         p_audio, p_video = self.partner_fusion(
@@ -478,7 +469,7 @@ class BaselineModel(_Architecture):
     def _stream_encoders(self) -> dict[str, StreamEncoders]:
         return {"target": self.streams}
 
-    def _features(self, target, length, partner, train, rng, keep) -> Tensor:
+    def _features(self, target, partner, train, rng, keep) -> Tensor:
         enc = self.streams(target, train, rng)
         fused = T.concat([enc[s] for s in STREAMS], axis=-1)
         return _stack(self.fusion, fused, train, rng, keep)

@@ -4,11 +4,13 @@ Linear projection, multi-head attention (self and cross), position-wise
 feed-forward, sinusoidal positional encoding, inverted dropout, and a
 standard pre-norm transformer encoder layer, which can compute only some of
 its window rows (``keep``) for no-grad scoring. Blocks accept either a single
-window ``[L, D]`` or a batch of windows ``[B, L, D]``.
+window ``[L, D]`` or a batch of windows ``[B, L, D]``; a mismatched input
+width raises ``T.linear``'s ``ShapeError``.
 
-Blocks take no dtype: they build in float64, as their init draws come, and
-a model casts each block's parameters once (``model._Architecture``).
-Dropout's draw and scale and the positional table follow the input's dtype.
+Blocks take no dtype and no seed: they draw their float64 init from the
+``np.random.Generator`` they are given, and a model casts each block's
+parameters once (``model._Architecture``). Dropout's draw and scale and the
+positional table follow the input's dtype.
 
 Every block is a ``Module``: ``named_parameters`` walks its attributes in the
 order ``__init__`` set them and names each ``Tensor`` by its attribute path.
@@ -26,10 +28,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-
-
-def _init_rng(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
 class Module:
@@ -82,18 +80,13 @@ def dropout(x: Tensor, rate: float, train: bool,
 class Linear(Module):
     """Affine map x @ W + b with Xavier-uniform init (bias optional)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng, bias: bool = True):
-        rng = _init_rng(rng)
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
         limit = math.sqrt(6.0 / (in_dim + out_dim))
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = Tensor(rng.uniform(-limit, limit, (in_dim, out_dim)),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise T.ShapeError(f"linear: input last dim {x.shape[-1]} != {self.in_dim}")
         return T.linear(x, self.weight, self.bias)
 
     @staticmethod
@@ -126,11 +119,9 @@ class MultiHeadAttention(Module):
     ``[B, heads, Lq, Lk]`` (``[1, heads, Lq, Lk]`` for 2-d input).
     """
 
-    def __init__(self, dim: int, heads: int, dropout_rate: float, rng):
+    def __init__(self, dim: int, heads: int, dropout_rate: float, rng: np.random.Generator):
         if dim % heads != 0:
             raise ValueError(f"heads ({heads}) must divide model dim ({dim})")
-        rng = _init_rng(rng)
-        self.dim = dim
         self.heads = heads
         self.dropout_rate = dropout_rate
         self.wq = Linear(dim, dim, rng)
@@ -144,9 +135,6 @@ class MultiHeadAttention(Module):
     def __call__(self, q_in: Tensor, kv_in: Tensor, train: bool = False,
                  rng: np.random.Generator | None = None,
                  keep_weights: bool = False) -> Tensor:
-        if q_in.shape[-1] != self.dim or kv_in.shape[-1] != self.dim:
-            raise T.ShapeError(f"attention: last dims {q_in.shape[-1]}/{kv_in.shape[-1]} "
-                               f"!= model dim {self.dim}")
         squeeze = q_in.ndim == 2
         if squeeze:
             q_in = T.reshape(q_in, (1,) + q_in.shape)
@@ -168,8 +156,7 @@ class FeedForward(Module):
     """Two-layer MLP: in_dim -> hidden -> out_dim with GELU and hidden dropout."""
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int, dropout_rate: float,
-                 rng):
-        rng = _init_rng(rng)
+                 rng: np.random.Generator):
         self.dropout_rate = dropout_rate
         self.lin1 = Linear(in_dim, hidden, rng)
         self.lin2 = Linear(hidden, out_dim, rng)
@@ -201,9 +188,8 @@ class TransformerEncoderLayer(Module):
     than all rows.
     """
 
-    def __init__(self, dim: int, heads: int, dropout_rate: float, rng,
+    def __init__(self, dim: int, heads: int, dropout_rate: float, rng: np.random.Generator,
                  ffn_mult: int = 4):
-        rng = _init_rng(rng)
         self.dim = dim
         self.norm1 = LayerNorm(dim)
         self.attn = MultiHeadAttention(dim, heads, dropout_rate, rng)

@@ -29,7 +29,8 @@ reads is freed as soon as the forward drops it. Per op, it keeps:
   no array.
 
 Float64 is the default dtype so finite-difference checks are meaningful;
-float32 arrays pass through unchanged for training throughput.
+float32 arrays pass through unchanged for training throughput. No op checks
+its output for NaN or Inf; ``backward`` checks the loss.
 """
 
 from __future__ import annotations
@@ -59,15 +60,9 @@ class _TapeState(threading.local):
     def __init__(self):
         self.nodes: list[tuple[Tensor | _Slot, Callable[[np.ndarray], None]]] = []
         self.enabled = True
-        self.nan_checks = False
 
 
 _STATE = _TapeState()
-
-
-def set_nan_checks(on: bool) -> None:
-    """Enable per-op finite checks (slow; meant for tests and debugging)."""
-    _STATE.nan_checks = on
 
 
 def reset_tape() -> None:
@@ -163,12 +158,10 @@ def _accumulate(slot: Tensor | _Slot | None, g: np.ndarray) -> None:
         slot.grad += g
 
 
-def _record(op: str, slots: tuple, out_data: np.ndarray,
+def _record(slots: tuple, out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap ``out_data`` as the output of ``op`` whose inputs have the
+    """Wrap ``out_data`` as the output of an op whose inputs have the
     gradient ``slots``; tape ``backward_fn`` if any of them needs one."""
-    if _STATE.nan_checks and not np.all(np.isfinite(out_data)):
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -201,10 +194,6 @@ def _check_suffix_broadcast(op: str, a: Tensor, b: Tensor) -> None:
     if small == large[len(large) - len(small):]:
         return
     raise ShapeError(f"{op}: shapes {sa} and {sb} are not equal or suffix-broadcastable")
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(x) -> Tensor:
@@ -243,7 +232,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if sb is not None:
             _accumulate(sb, g2.sum(axis=0))
 
-    return _record("linear", (sx, sw, sb), out2.reshape(x_shape[:-1] + (n_out,)), backward)
+    return _record((sx, sw, sb), out2.reshape(x_shape[:-1] + (n_out,)), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -310,7 +299,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         if sk is not None:
             _accumulate(sk, merge(dst @ qs, lk))
 
-    return _record("attention", (sq, sk, sv), out_data, backward), pt.swapaxes(-1, -2)
+    return _record((sq, sk, sv), out_data, backward), pt.swapaxes(-1, -2)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -327,7 +316,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             # With equal shapes `a`'s slot may have adopted `g` itself.
             _accumulate(sb, g.copy() if gb is g and sa is not None and sa.grad is g else gb)
 
-    return _record("add", (sa, sb), out_data, backward)
+    return _record((sa, sb), out_data, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -342,7 +331,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if sb is not None:
             _accumulate(sb, _unbroadcast(-g, b_shape))
 
-    return _record("sub", (sa, sb), out_data, backward)
+    return _record((sa, sb), out_data, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -359,7 +348,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if sb is not None:
             _accumulate(sb, _unbroadcast(g * a_data, b_shape))
 
-    return _record("mul", (sa, sb), out_data, backward)
+    return _record((sa, sb), out_data, backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -377,7 +366,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             db = -g * a_data / (b_data * b_data)
             _accumulate(sb, _unbroadcast(db, b_shape))
 
-    return _record("div", (sa, sb), out_data, backward)
+    return _record((sa, sb), out_data, backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -388,7 +377,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accumulate(sa, g * s)
 
-    return _record("scale", (sa,), out_data, backward)
+    return _record((sa,), out_data, backward)
 
 
 def shift(a: Tensor, s: float) -> Tensor:
@@ -399,7 +388,7 @@ def shift(a: Tensor, s: float) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accumulate(sa, g)
 
-    return _record("shift", (sa,), out_data, backward)
+    return _record((sa,), out_data, backward)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -431,7 +420,7 @@ def gelu(a: Tensor) -> Tensor:
         local *= g
         _accumulate(sa, local)
 
-    return _record("gelu", (sa,), out_data, backward)
+    return _record((sa,), out_data, backward)
 
 
 def dropout(a: Tensor, keep: np.ndarray, scale: np.floating) -> Tensor:
@@ -448,7 +437,7 @@ def dropout(a: Tensor, keep: np.ndarray, scale: np.floating) -> Tensor:
         g *= scale
         _accumulate(sa, g)
 
-    return _record("dropout", (sa,), out_data, backward)
+    return _record((sa,), out_data, backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -483,7 +472,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             dxhat *= inv_std
             _accumulate(sx, dxhat)
 
-    return _record("layer_norm", (sx, sg, sb), out_data, backward)
+    return _record((sx, sg, sb), out_data, backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -507,7 +496,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 idx[ax] = slice(lo, hi)
                 _accumulate(slot, g[tuple(idx)])
 
-    return _record("concat", slots, out_data, backward)
+    return _record(slots, out_data, backward)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -517,7 +506,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accumulate(sa, g.reshape(a_shape))
 
-    return _record("reshape", (sa,), out_data, backward)
+    return _record((sa,), out_data, backward)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
@@ -527,7 +516,7 @@ def tensor_sum(a: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accumulate(sa, np.broadcast_to(g, a_shape).copy())
 
-    return _record("sum", (sa,), out_data, backward)
+    return _record((sa,), out_data, backward)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -560,19 +549,17 @@ def backward(loss: Tensor) -> None:
             backward_fn(g)
 
 
-def grad_check(f: Callable[[], Tensor], params, h: float = 1e-5,
-               tol: float | None = None, max_coords_per_param: int = 16,
-               rng: np.random.Generator | None = None) -> float:
+def grad_check(f: Callable[[], Tensor], named: Sequence[tuple[str, Tensor]], h: float = 1e-5,
+               tol: float | None = None, max_coords_per_param: int = 16) -> float:
     """Compare analytic gradients of a taped scalar function to central differences.
 
-    `f` must be deterministic (dropout off). Returns the max over sampled
-    coordinates of |analytic - numeric| / max(|analytic|, |numeric|, 1e-8);
-    raises GradCheckError when `tol` is given and breached, NonFiniteError on
-    NaN/Inf with the offending coordinate identified.
+    `f` must be deterministic (dropout off); `named` holds ``(name, tensor)``
+    pairs. Returns the max over sampled coordinates (a fixed seed picks them)
+    of |analytic - numeric| / max(|analytic|, |numeric|, 1e-8); raises
+    GradCheckError when `tol` is given and breached, NonFiniteError on NaN/Inf
+    with the offending coordinate identified.
     """
-    named = [p if isinstance(p, tuple) else (f"param{i}", p) for i, p in enumerate(params)]
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
 
     for _, p in named:
         p.zero_grad()

@@ -122,8 +122,6 @@ class EmaState:
     def update(self) -> None:
         d = self.decay
         for name, p in self.params:
-            if self.shadow[name].shape != p.data.shape:
-                raise ValueError(f"EMA shadow shape drifted for '{name}'")
             shadow = self.shadow[name]
             shadow *= d
             shadow += (1.0 - d) * p.data

@@ -206,6 +206,9 @@ def _manifest_without(key: str):
                  "feature_dims", id="stream_dim_bool"),
     pytest.param(lambda m: {**m, "frame_rate_hz": True}, "frame_rate_hz",
                  id="frame_rate_bool"),
+    pytest.param(lambda m: {**m, "session_id": None}, "session_id", id="session_id_null"),
+    pytest.param(lambda m: {**m, "session_id": 7}, "session_id", id="session_id_int"),
+    pytest.param(lambda m: {**m, "session_id": ["a"]}, "session_id", id="session_id_list"),
     pytest.param(lambda m: {**m, "roles": "target"}, "roles", id="roles_not_list"),
     pytest.param(lambda m: {**m, "roles": ["partner"]}, "'target'", id="no_target_role"),
 ])

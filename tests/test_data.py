@@ -147,6 +147,14 @@ def test_synth_deterministic_in_memory():
     assert not np.array_equal(a.roles["target"].labels, c.roles["target"].labels)
 
 
+def test_synth_refuses_negative_session_index(tmp_path):
+    with pytest.raises(ValueError, match=r"session_index must be >= 0, got -1"):
+        synth_session(toy_synth(), -1)
+    with pytest.raises(ValueError, match=r"session_index must be >= 0, got -2"):
+        synth_corpus(toy_synth(sessions=3), tmp_path / "out", start_index=-2)
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_corpus_byte_identical(tmp_path):
     synth_corpus(toy_synth(sessions=2), tmp_path / "a")
     synth_corpus(toy_synth(sessions=2), tmp_path / "b")

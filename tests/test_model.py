@@ -186,6 +186,12 @@ def test_model_requires_partner_when_cross_enabled(rng):
     model = EngagementModel(toy_config(), seed=4)
     with pytest.raises(ValueError):
         model.forward(random_bundle(model.cfg, 8, rng))
+    # The partner is checked before any layer runs, so train mode tapes nothing.
+    T.reset_tape()
+    with pytest.raises(ValueError, match="partner bundle is required"):
+        model.forward(random_bundle(model.cfg, 8, rng), train=True,
+                      rng=np.random.default_rng(0))
+    assert T.tape_size() == 0
 
 
 def test_model_rejects_length_mismatch(rng):

@@ -8,7 +8,7 @@ from engagekit.tensor import Tensor, grad_check
 
 
 def make_identity_mha(dim=1, heads=1):
-    mha = MultiHeadAttention(dim, heads, dropout_rate=0.0, rng=0)
+    mha = MultiHeadAttention(dim, heads, dropout_rate=0.0, rng=np.random.default_rng(0))
     for lin in (mha.wq, mha.wk, mha.wv, mha.wo):
         lin.weight.data = np.eye(dim)
         if lin.bias is not None:
@@ -19,7 +19,7 @@ def make_identity_mha(dim=1, heads=1):
 # ---------------------------------------------------------------- linear
 
 def test_linear_identity():
-    lin = Linear(3, 3, rng=0)
+    lin = Linear(3, 3, rng=np.random.default_rng(0))
     lin.weight.data = np.eye(3)
     lin.bias.data = np.zeros(3)
     x = T.constant(np.arange(6.0).reshape(2, 3))
@@ -27,23 +27,30 @@ def test_linear_identity():
 
 
 def test_linear_param_count():
-    lin = Linear(2, 3, rng=0)
+    lin = Linear(2, 3, rng=np.random.default_rng(0))
     assert sum(p.data.size for _, p in lin.named_parameters()) == 9
     assert Linear.param_count(2, 3) == 9
 
 
 def test_linear_projects_audio_stream_to_model_width():
-    lin = Linear(88, 512, rng=0)
+    lin = Linear(88, 512, rng=np.random.default_rng(0))
     out = lin(T.constant(np.random.default_rng(0).standard_normal((96, 88))))
     assert out.shape == (96, 512)
 
 
 def test_linear_rejects_wrong_input_dim():
     with pytest.raises(T.ShapeError):
-        Linear(4, 2, rng=0)(T.constant(np.zeros((3, 5))))
+        Linear(4, 2, rng=np.random.default_rng(0))(T.constant(np.zeros((3, 5))))
 
 
 # ---------------------------------------------------------------- attention
+
+@pytest.mark.parametrize("q_dim, kv_dim", [(6, 8), (8, 6)], ids=["query", "key_value"])
+def test_attention_rejects_wrong_input_width(q_dim, kv_dim):
+    mha = MultiHeadAttention(8, 2, 0.0, rng=np.random.default_rng(0))
+    with pytest.raises(T.ShapeError):
+        mha(T.constant(np.zeros((3, q_dim))), T.constant(np.zeros((5, kv_dim))))
+
 
 def test_attention_uniform_weights_average_values():
     mha = make_identity_mha()
@@ -56,7 +63,7 @@ def test_attention_uniform_weights_average_values():
 
 def test_attention_identical_queries_give_identical_rows():
     rng = np.random.default_rng(0)
-    mha = MultiHeadAttention(8, 2, 0.0, rng=1)
+    mha = MultiHeadAttention(8, 2, 0.0, rng=np.random.default_rng(1))
     q = T.constant(np.tile(rng.standard_normal(8), (4, 1)))
     kv = T.constant(rng.standard_normal((5, 8)))
     out = mha(q, kv).data
@@ -65,7 +72,7 @@ def test_attention_identical_queries_give_identical_rows():
 
 def test_attention_weight_rows_sum_to_one():
     rng = np.random.default_rng(1)
-    mha = MultiHeadAttention(16, 4, 0.0, rng=2)
+    mha = MultiHeadAttention(16, 4, 0.0, rng=np.random.default_rng(2))
     mha(T.constant(rng.standard_normal((6, 16))),
         T.constant(rng.standard_normal((9, 16))), keep_weights=True)
     sums = mha.last_weights.sum(axis=-1)
@@ -76,7 +83,7 @@ def test_attention_output_is_convex_combination_of_values():
     # With value/output projections pinned to identity, each output lies in
     # the per-column [min, max] envelope of the value rows.
     rng = np.random.default_rng(2)
-    mha = MultiHeadAttention(4, 1, 0.0, rng=3)
+    mha = MultiHeadAttention(4, 1, 0.0, rng=np.random.default_rng(3))
     mha.wv.weight.data = np.eye(4)
     mha.wv.bias.data = np.zeros(4)
     mha.wo.weight.data = np.eye(4)
@@ -89,7 +96,7 @@ def test_attention_output_is_convex_combination_of_values():
 
 def test_attention_kv_permutation_invariance():
     rng = np.random.default_rng(3)
-    mha = MultiHeadAttention(8, 4, 0.0, rng=4)
+    mha = MultiHeadAttention(8, 4, 0.0, rng=np.random.default_rng(4))
     q = T.constant(rng.standard_normal((3, 8)))
     kv = rng.standard_normal((6, 8))
     out1 = mha(q, T.constant(kv)).data
@@ -100,7 +107,7 @@ def test_attention_kv_permutation_invariance():
 
 def test_attention_grad_fd():
     rng = np.random.default_rng(4)
-    mha = MultiHeadAttention(16, 4, 0.0, rng=5)
+    mha = MultiHeadAttention(16, 4, 0.0, rng=np.random.default_rng(5))
     x = Tensor(rng.standard_normal((8, 16)), requires_grad=True)
     c = T.constant(rng.standard_normal((8, 16)))
 
@@ -117,7 +124,7 @@ def test_attention_grad_fd():
 ])
 def test_attention_last_weights_shape(q_shape, kv_shape, weights_shape):
     rng = np.random.default_rng(5)
-    mha = MultiHeadAttention(8, 4, 0.0, rng=6)
+    mha = MultiHeadAttention(8, 4, 0.0, rng=np.random.default_rng(6))
     mha(T.constant(rng.standard_normal(q_shape)), T.constant(rng.standard_normal(kv_shape)),
         keep_weights=True)
     assert mha.last_weights.shape == weights_shape
@@ -125,20 +132,20 @@ def test_attention_last_weights_shape(q_shape, kv_shape, weights_shape):
 
 def test_attention_head_divisibility_enforced():
     with pytest.raises(ValueError):
-        MultiHeadAttention(10, 4, 0.0, rng=0)
+        MultiHeadAttention(10, 4, 0.0, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- encoder layer
 
 @pytest.mark.parametrize("length,dim", [(1, 8), (32, 8), (96, 8), (4, 512)])
 def test_encoder_layer_preserves_shape(length, dim):
-    layer = TransformerEncoderLayer(dim, 8, 0.2, rng=6)
+    layer = TransformerEncoderLayer(dim, 8, 0.2, rng=np.random.default_rng(6))
     x = T.constant(np.random.default_rng(5).standard_normal((length, dim)))
     assert layer(x).shape == (length, dim)
 
 
 def test_encoder_layer_eval_is_deterministic():
-    layer = TransformerEncoderLayer(8, 2, 0.5, rng=7)
+    layer = TransformerEncoderLayer(8, 2, 0.5, rng=np.random.default_rng(7))
     x = T.constant(np.random.default_rng(6).standard_normal((10, 8)))
     a = layer(x, train=False).data
     b = layer(x, train=False).data
@@ -147,7 +154,7 @@ def test_encoder_layer_eval_is_deterministic():
 
 def test_encoder_layer_grad_fd():
     rng = np.random.default_rng(7)
-    layer = TransformerEncoderLayer(8, 2, 0.0, rng=8)
+    layer = TransformerEncoderLayer(8, 2, 0.0, rng=np.random.default_rng(8))
     x = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
     c = T.constant(rng.standard_normal((4, 8)))
 
@@ -160,7 +167,7 @@ def test_encoder_layer_grad_fd():
 
 def test_encoder_layer_batched_matches_loop():
     rng = np.random.default_rng(8)
-    layer = TransformerEncoderLayer(8, 2, 0.0, rng=9)
+    layer = TransformerEncoderLayer(8, 2, 0.0, rng=np.random.default_rng(9))
     batch = rng.standard_normal((3, 5, 8))
     stacked = layer(T.constant(batch)).data
     for i in range(3):
@@ -170,7 +177,7 @@ def test_encoder_layer_batched_matches_loop():
 
 def test_encoder_layer_keep_computes_those_rows_of_the_full_output():
     rng = np.random.default_rng(9)
-    layer = TransformerEncoderLayer(8, 2, 0.0, rng=10)
+    layer = TransformerEncoderLayer(8, 2, 0.0, rng=np.random.default_rng(10))
     x = T.constant(rng.standard_normal((3, 9, 8)))
     with T.no_grad():
         full = layer(x).data
@@ -182,13 +189,13 @@ def test_encoder_layer_keep_computes_those_rows_of_the_full_output():
 
 def test_block_param_count_formulas():
     dim, mult = 16, 4
-    layer = TransformerEncoderLayer(dim, 4, 0.0, rng=10, ffn_mult=mult)
+    layer = TransformerEncoderLayer(dim, 4, 0.0, rng=np.random.default_rng(10), ffn_mult=mult)
     assert (sum(p.data.size for _, p in layer.named_parameters())
             == TransformerEncoderLayer.param_count(dim, mult))
-    ffn = FeedForward(dim, mult * dim, dim, 0.0, rng=11)
+    ffn = FeedForward(dim, mult * dim, dim, 0.0, rng=np.random.default_rng(11))
     assert sum(p.data.size for _, p in ffn.named_parameters()) == \
         FeedForward.param_count(dim, mult * dim, dim)
-    mha = MultiHeadAttention(dim, 4, 0.0, rng=12)
+    mha = MultiHeadAttention(dim, 4, 0.0, rng=np.random.default_rng(12))
     assert (sum(p.data.size for _, p in mha.named_parameters())
             == MultiHeadAttention.param_count(dim) == 4 * dim * dim + 3 * dim)
     assert LayerNorm.param_count(dim) == 2 * dim

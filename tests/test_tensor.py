@@ -460,12 +460,3 @@ def test_grad_check_raises_on_breach():
 
     with pytest.raises(T.GradCheckError):
         grad_check(wrong, [("x", x)], tol=0.0)
-
-
-def test_nan_checks_flag():
-    T.set_nan_checks(True)
-    try:
-        with np.errstate(divide="ignore"), pytest.raises(T.NonFiniteError):
-            T.div(t([1.0]), t([0.0]))
-    finally:
-        T.set_nan_checks(False)
