@@ -11,10 +11,10 @@ from engagekit.segmentation import (make_segments, core_mask, window_labels,
 T_, core, context = 100, 32, 16
 segments = make_segments(T_, core, context)
 print(f"{T_} frames -> {len(segments)} windows of {core + 2 * context} frames each")
-for seg in segments:
-    print(f"  window {seg.index}: span [{seg.start}, {seg.end}) "
+for k, seg in enumerate(segments):
+    print(f"  window {k}: span [{seg.start}, {seg.end}) "
           f"core [{seg.core_start}, {seg.core_end}) "
-          f"pads l={seg.left_pad} r={seg.right_pad} "
+          f"pads l={max(0, -seg.start)} r={max(0, seg.end - T_)} "
           f"supervised={core_mask(seg).sum()}")
 
 # The last window's core is ragged (100 = 3*32 + 4): only 4 frames are real,

@@ -13,12 +13,13 @@ Submodules:
 
 from .tensor import Tensor, backward, grad_check, no_grad
 from .model import (ModelConfig, EngagementModel, BaselineModel, param_count,
-                    save_checkpoint, load_checkpoint, STREAMS, DEFAULT_FEATURE_DIMS)
+                    save_checkpoint, load_checkpoint)
 from .segmentation import Segment, make_segments, reassemble
 from .metrics import mse, ccc, ccc_loss, evaluate_sessions, EvalReport
 from .training import TrainConfig, Adam, EmaState, train, evaluate_with_ema
-from .data import (SessionRecord, SynthConfig, synth_session, synth_corpus,
-                   load_session, save_session, write_matrix, read_matrix)
+from .data import (STREAMS, DEFAULT_FEATURE_DIMS, SessionRecord, SynthConfig,
+                   synth_session, synth_corpus, load_session, save_session,
+                   write_matrix, read_matrix)
 
 __version__ = "0.1.0"
 

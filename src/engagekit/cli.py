@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import SynthConfig, load_sessions, synth_corpus
+from .data import STREAMS, SynthConfig, load_sessions, synth_corpus
 from .metrics import LabelEchoPredictor, ccc_loss, evaluate_sessions, mse, predict_session
 from .model import (MODELS, BaselineModel, EngagementModel, GroupFusion, ModelConfig,
-                    PartnerCrossLayer, STREAMS, load_checkpoint)
+                    PartnerCrossLayer, load_checkpoint)
 from .nn import Linear, MultiHeadAttention, TransformerEncoderLayer
 from .tensor import GradCheckError, NonFiniteError, Tensor, grad_check
 from .training import DivergenceError, TrainConfig, train
@@ -190,8 +190,8 @@ def cmd_eval(args) -> int:
     print_resolved("eval", model_cfg)
     print(f"  ckpt = {args.ckpt}")
     report = evaluate_sessions(predictor, load_sessions(args.data))
-    for sid, value in zip(report.session_ids, report.ccc_per_session):
-        print(f"session {sid}: ccc {value:.4f}")
+    for row in report.sessions:
+        print(f"session {row['session_id']}: ccc {row['ccc']:.4f}")
     print(f"mean ccc: {report.mean_ccc:.4f}")
     if args.report:
         report.write_json(args.report)

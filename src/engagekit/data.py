@@ -1,10 +1,13 @@
 """Session storage and the synthetic dyadic-conversation generator.
 
-A session directory holds a `manifest.json` plus one binary matrix file per
-feature stream and per role (`target/`, `partner/`), with frame labels as a
-one-column matrix. The matrix container ("DATF") is 16 bytes of header --
-magic, version, rows, cols, all little-endian -- followed by row-major
-float32 payload, and round-trips bit-exactly.
+This module names the five feature streams (``STREAMS``) and their default
+dims, since the stored files are named after them; it imports nothing from
+the package. A session directory holds a `manifest.json` plus one binary
+matrix file per feature stream and per role (`target/`, `partner/`), with
+frame labels in [0, 1] as a one-column matrix. The matrix container
+("DATF") is 16 bytes of header -- magic, version, rows, cols, all
+little-endian -- followed by row-major float32 payload, and round-trips
+bit-exactly.
 
 The generator replaces the private challenge recordings: each speaker gets a
 smoothed mean-reverting latent engagement level in [0, 1], the partner's
@@ -23,7 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import STREAMS, DEFAULT_FEATURE_DIMS
+STREAMS = ("opensmile", "w2vbert", "clip", "openface", "openpose")
+DEFAULT_FEATURE_DIMS = {
+    "opensmile": 88,
+    "w2vbert": 1024,
+    "clip": 512,
+    "openface": 714,
+    "openpose": 139,
+}
 
 DATF_MAGIC = b"DATF"
 DATF_VERSION = 1
@@ -133,7 +143,7 @@ class SessionRecord:
                     raise DataFormatError(
                         f"session '{self.session_id}' labels for '{role}' have shape "
                         f"{labels.shape}, expected ({self.num_frames},)")
-                bad = np.where((labels < 0.0) | (labels > 1.0))[0]
+                bad = np.where(~((labels >= 0.0) & (labels <= 1.0)))[0]  # NaN too
                 if bad.size:
                     raise DataFormatError(
                         f"session '{self.session_id}' label out of [0, 1] for role "

@@ -109,26 +109,18 @@ def ccc_loss(pred: Tensor, label, mask=None) -> Tensor:
 
 @dataclass
 class EvalReport:
-    session_ids: list[str] = field(default_factory=list)
-    ccc_per_session: list[float] = field(default_factory=list)
-    mse_per_session: list[float] = field(default_factory=list)
-    frame_counts: list[int] = field(default_factory=list)
+    """One ``{session_id, ccc, mse, frames}`` row per scored session, in
+    scoring order, and the ids of the skipped label-less sessions."""
+
+    sessions: list[dict] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
 
     @property
     def mean_ccc(self) -> float:
-        return float(np.mean(self.ccc_per_session)) if self.ccc_per_session else float("nan")
+        return float(np.mean([r["ccc"] for r in self.sessions])) if self.sessions else float("nan")
 
     def to_dict(self) -> dict:
-        return {
-            "sessions": [
-                {"session_id": sid, "ccc": c, "mse": m, "frames": n}
-                for sid, c, m, n in zip(self.session_ids, self.ccc_per_session,
-                                        self.mse_per_session, self.frame_counts)
-            ],
-            "mean_ccc": self.mean_ccc,
-            "skipped": self.skipped,
-        }
+        return {"sessions": self.sessions, "mean_ccc": self.mean_ccc, "skipped": self.skipped}
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -138,8 +130,8 @@ class EvalReport:
         with open(path, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["session_id", "ccc"])
-            for sid, c in zip(self.session_ids, self.ccc_per_session):
-                writer.writerow([sid, repr(c)])
+            for row in self.sessions:
+                writer.writerow([row["session_id"], repr(row["ccc"])])
 
 
 class LabelEchoPredictor:
@@ -187,8 +179,8 @@ def predict_session(model, session) -> np.ndarray:
     run the model over batches of WINDOWS_PER_BATCH windows, stitch the
     window cores back together, clamp to the label range.
 
-    A predictor has ``core_len``, ``context_len``, ``roles`` (the session
-    roles it reads), ``project_session(session)``, which returns a
+    A predictor has ``core_len``, ``roles`` (the session roles it reads),
+    ``project_session(session)``, which returns a
     ``windows(lo, hi)`` cutter of windows lo..hi-1 as (target, partner)
     inputs, and ``forward(target, partner, train=False)``, which returns
     their ``[hi - lo, core, 1]`` core predictions. Both run under
@@ -226,8 +218,7 @@ def evaluate_sessions(model, sessions) -> EvalReport:
         check_session(model, session, scored=True)
         series = predict_session(model, session)
         labels = session.roles["target"].labels
-        report.session_ids.append(session.session_id)
-        report.ccc_per_session.append(ccc(series, labels))
-        report.mse_per_session.append(float(np.mean((series - labels) ** 2)))
-        report.frame_counts.append(session.num_frames)
+        report.sessions.append({"session_id": session.session_id, "ccc": ccc(series, labels),
+                                "mse": float(np.mean((series - labels) ** 2)),
+                                "frames": session.num_frames})
     return report

@@ -1,6 +1,7 @@
 """Engagement estimation model for dyadic conversations.
 
-Five per-frame feature streams per speaker are projected to a shared width,
+Five per-frame feature streams per speaker (``data.STREAMS``, which this
+module imports with their default dims) are projected to a shared width,
 encoded per stream, grouped into audio / video blocks and fused within each
 group. The partner's fused features then query the target's features through
 cross-attention (partner as Q, normalized target as K/V). Every block is
@@ -23,8 +24,9 @@ Session scoring has its own path: ``project_session`` returns a
 streams are projected once over the session's edge-padded timeline and every
 window is a view of it, where training gathers raw windows and projects them
 (the weight gradient needs the raw rows). Stitching keeps only each window's
-core rows, so the last layer of each stack that is next read row by row
-computes only those rows (``TransformerEncoderLayer`` and
+core rows, which ``forward`` derives from its config (the ``core_len`` rows
+after ``context_len``), so the last layer of each stack that is next read
+row by row computes only those rows (``TransformerEncoderLayer`` and
 ``PartnerCrossLayer`` take ``keep``): the partner's last fusion layers under
 one cross layer, the last cross layer, the target's last fusion layers
 without a partner cross, and the baseline's last fusion layer. The head then
@@ -38,6 +40,7 @@ own fusion, ``target_fusion.*`` and ``partner_fusion.*``.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -46,21 +49,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
+from .data import DEFAULT_FEATURE_DIMS, STREAMS, DataFormatError
 from .nn import (Linear, LayerNorm, MultiHeadAttention, FeedForward, Module,
                  TransformerEncoderLayer, PositionalEncoding, keep_rows)
 from .tensor import Tensor
 
-STREAMS = ("opensmile", "w2vbert", "clip", "openface", "openpose")
 AUDIO_STREAMS = ("opensmile", "w2vbert")
 VIDEO_STREAMS = ("clip", "openface", "openpose")
-
-DEFAULT_FEATURE_DIMS = {
-    "opensmile": 88,
-    "w2vbert": 1024,
-    "clip": 512,
-    "openface": 714,
-    "openpose": 139,
-}
 
 CHECKPOINT_MAGIC = b"DATC"
 CHECKPOINT_VERSION = 4                      # v4: the v3 layout, config without three removed knobs
@@ -150,8 +145,7 @@ def as_bundle(streams: dict, dtype) -> dict[str, Tensor]:
     for name in STREAMS:
         if name not in streams:
             raise KeyError(f"feature bundle is missing stream '{name}'")
-        x = streams[name]
-        out[name] = x if isinstance(x, Tensor) else T.constant(np.asarray(x, dtype=dtype))
+        out[name] = T.constant(np.asarray(streams[name], dtype=dtype))
     return out
 
 
@@ -182,15 +176,11 @@ def _stack(layers, x: Tensor, train: bool, rng, keep: slice) -> Tensor:
     return x
 
 
-@dataclass
-class ProjectedWindows:
+class ProjectedWindows(dict):
     """A batch of one role's windows cut from its projected session timeline
     (``project_session``): per stream a ``[B, L, d]`` tensor that has been
     through the input projection but not the positional add. ``forward``
-    scores only the window rows ``keep``."""
-
-    streams: dict[str, Tensor]
-    keep: slice
+    scores only each window's core rows."""
 
 
 class StreamEncoders(Module):
@@ -211,11 +201,9 @@ class StreamEncoders(Module):
         stack's last layer computes only the window rows ``keep``. Raw stream
         bundles are projected here; ``ProjectedWindows`` were projected once
         for their whole session."""
-        if isinstance(bundle, ProjectedWindows):
-            projected = bundle.streams
-        else:
-            projected = {s: self.proj[s](bundle[s]) for s in STREAMS}
-        return {s: _stack(self.layers[s], self.positional(projected[s]), train, rng, keep)
+        if not isinstance(bundle, ProjectedWindows):
+            bundle = {s: self.proj[s](bundle[s]) for s in STREAMS}
+        return {s: _stack(self.layers[s], self.positional(bundle[s]), train, rng, keep)
                 for s in STREAMS}
 
 
@@ -343,9 +331,10 @@ class _Architecture(Module):
         range [0, 1]; in train mode it is left free so gradients survive
         saturation. Session scoring passes the ``ProjectedWindows`` of a
         ``project_session`` instead, in eval mode under ``no_grad``; the
-        output then holds only each window's ``keep`` rows."""
+        output then holds only each window's ``core_len`` core rows, which
+        follow its ``context_len`` leading context rows."""
         if isinstance(target, ProjectedWindows):
-            keep = target.keep
+            keep = slice(self.cfg.context_len, self.cfg.context_len + self.cfg.core_len)
         else:
             target = as_bundle(target, self.cfg.np_dtype)
             length, keep = _check_bundle(target, self.cfg, "target"), slice(None)
@@ -378,7 +367,6 @@ class _Architecture(Module):
         cfg = self.cfg
         num_windows = -(-session.num_frames // cfg.core_len)
         frames = np.arange(-cfg.context_len, num_windows * cfg.core_len + cfg.context_len)
-        keep = slice(cfg.context_len, cfg.context_len + cfg.core_len)
         views: dict[str, dict[str, np.ndarray]] = {}
         for role, encoder in self._stream_encoders().items():
             streams = session.roles[role].streams
@@ -394,7 +382,7 @@ class _Architecture(Module):
 
         def windows(lo: int, hi: int):
             cut = {role: ProjectedWindows({s: T.constant(view[lo:hi])
-                                           for s, view in role_views.items()}, keep)
+                                           for s, view in role_views.items()})
                    for role, role_views in views.items()}
             return cut["target"], cut.get("partner")
 
@@ -532,69 +520,76 @@ def load_checkpoint(path):
     """Rebuild the model a checkpoint describes; returns (model, manifest).
 
     Nothing on disk is trusted. The header must be complete and of this
-    version. The manifest must be a JSON object naming a known arch and only
-    ModelConfig fields. Its params must be exactly the model's ``{name,
+    version, and is checked, with the manifest's length against the file
+    size, before anything else is read. The manifest must be a JSON object
+    naming a known arch and only ModelConfig fields. Its params must be exactly the model's ``{name,
     shape}`` list, in walk order, and the blob exactly that many values of the
-    config's dtype, all finite. Any breach, or a file that cannot be read,
+    config's dtype, all finite; each parameter is read straight into its own
+    array. Any breach, or a file that cannot be read,
     raises DataFormatError naming the file, and the parameter where there is
     one."""
-    from .data import DataFormatError  # shared error taxonomy for file issues
-
     def bad(message: str) -> DataFormatError:
         return DataFormatError(f"{path}: {message}")
 
     try:
-        raw = Path(path).read_bytes()
+        f = open(path, "rb")
     except OSError as exc:
         raise bad(f"cannot read checkpoint ({exc.strerror or exc})") from None
-    if len(raw) < 16:
-        raise bad(f"truncated header ({len(raw)} bytes, need 16)")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise bad(f"bad checkpoint magic {raw[:4]!r} at offset 0")
-    version, mlen = struct.unpack_from("<IQ", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise bad(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    header_end = 16 + mlen
-    if header_end > len(raw):
-        raise bad(f"truncated manifest (need {header_end} bytes, have {len(raw)})")
-    try:
-        manifest = json.loads(raw[16:header_end].decode("utf-8"))
-    except ValueError as exc:
-        raise bad(f"manifest is not UTF-8 JSON ({exc})") from None
-    if not isinstance(manifest, dict) or not {"arch", "config", "params"} <= manifest.keys():
-        raise bad("manifest is not a JSON object with arch, config and params")
-    arch, entries = manifest["arch"], manifest["params"]
-    if not isinstance(arch, str) or arch not in MODELS:
-        raise bad(f"unknown arch {arch!r} (have: {', '.join(MODELS)})")
-    try:  # unknown keys and a non-object config raise TypeError here
-        cfg = ModelConfig(**manifest["config"])
-    except (TypeError, ValueError) as exc:
-        raise bad(f"config is not a valid ModelConfig ({exc})") from None
-    if not isinstance(entries, list):
-        raise bad("manifest params must be a list of {name, shape} objects")
+    with f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(16)
+        if len(header) < 16:
+            raise bad(f"truncated header ({len(header)} bytes, need 16)")
+        if header[:4] != CHECKPOINT_MAGIC:
+            raise bad(f"bad checkpoint magic {header[:4]!r} at offset 0")
+        version, mlen = struct.unpack_from("<IQ", header, 4)
+        if version != CHECKPOINT_VERSION:
+            raise bad(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        header_end = 16 + mlen
+        if header_end > size:
+            raise bad(f"truncated manifest (need {header_end} bytes, have {size})")
+        try:
+            manifest = json.loads(f.read(mlen).decode("utf-8"))
+        except ValueError as exc:
+            raise bad(f"manifest is not UTF-8 JSON ({exc})") from None
+        if not isinstance(manifest, dict) or not {"arch", "config", "params"} <= manifest.keys():
+            raise bad("manifest is not a JSON object with arch, config and params")
+        arch, entries = manifest["arch"], manifest["params"]
+        if not isinstance(arch, str) or arch not in MODELS:
+            raise bad(f"unknown arch {arch!r} (have: {', '.join(MODELS)})")
+        try:  # unknown keys and a non-object config raise TypeError here
+            cfg = ModelConfig(**manifest["config"])
+        except (TypeError, ValueError) as exc:
+            raise bad(f"config is not a valid ModelConfig ({exc})") from None
+        if not isinstance(entries, list):
+            raise bad("manifest params must be a list of {name, shape} objects")
 
-    model = MODELS[arch](cfg, seed=0)
-    params = model.named_parameters()
-    expected = [{"name": name, "shape": list(p.data.shape)} for name, p in params]
-    if entries != expected:  # report the first entry that differs
-        i = next(i for i, want in enumerate(expected + [None])
-                 if i == len(entries) or entries[i] != want)
-        got = entries[i] if i < len(entries) else "missing"
-        want = (f"'{expected[i]['name']}' of shape {expected[i]['shape']}"
-                if i < len(expected) else "no parameter")
-        raise bad(f"manifest params entry {i} is {got}, the model expects {want} there")
-    dtype = np.dtype(cfg.dtype).newbyteorder("<")
-    num_values = model.num_parameters()
-    if len(raw) - header_end != dtype.itemsize * num_values:
-        raise bad(f"parameter blob has {len(raw) - header_end} bytes, expected "
-                  f"{dtype.itemsize * num_values} ({num_values} {cfg.dtype} values "
-                  f"from offset {header_end})")
+        model = MODELS[arch](cfg, seed=0)
+        params = model.named_parameters()
+        expected = [{"name": name, "shape": list(p.data.shape)} for name, p in params]
+        if entries != expected:  # report the first entry that differs
+            i = next(i for i, want in enumerate(expected + [None])
+                     if i == len(entries) or entries[i] != want)
+            got = entries[i] if i < len(entries) else "missing"
+            want = (f"'{expected[i]['name']}' of shape {expected[i]['shape']}"
+                    if i < len(expected) else "no parameter")
+            raise bad(f"manifest params entry {i} is {got}, the model expects {want} there")
+        dtype = np.dtype(cfg.dtype).newbyteorder("<")
+        num_values = model.num_parameters()
+        if size - header_end != dtype.itemsize * num_values:
+            raise bad(f"parameter blob has {size - header_end} bytes, expected "
+                      f"{dtype.itemsize * num_values} ({num_values} {cfg.dtype} values "
+                      f"from offset {header_end})")
 
-    blob = np.frombuffer(raw, dtype=dtype, offset=header_end)
-    offset = 0
-    for name, p in params:
-        p.data = blob[offset:offset + p.data.size].reshape(p.data.shape).astype(cfg.np_dtype)
-        offset += p.data.size
-        if not np.all(np.isfinite(p.data)):
-            raise bad(f"parameter '{name}' holds non-finite values")
+        offset = header_end
+        for name, p in params:  # each parameter is read straight into its own array
+            data = np.empty(p.data.shape, dtype=dtype)
+            got = f.readinto(data)
+            if got != data.nbytes:
+                raise bad(f"parameter '{name}' read {got} bytes at offset {offset}, "
+                          f"expected {data.nbytes}")
+            offset += got
+            p.data = data.astype(cfg.np_dtype, copy=False)
+            if not np.all(np.isfinite(p.data)):
+                raise bad(f"parameter '{name}' holds non-finite values")
     return model, manifest

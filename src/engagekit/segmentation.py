@@ -19,13 +19,10 @@ class Segment:
     """One inference window. `start`/`end` are in session coordinates and may
     spill outside [0, T); `core_*` never do."""
 
-    index: int
     start: int
     end: int
     core_start: int
     core_end: int
-    left_pad: int
-    right_pad: int
 
     @property
     def window_len(self) -> int:
@@ -47,23 +44,10 @@ def make_segments(num_frames: int, core_len: int, context_len: int) -> list[Segm
     if core_len < 1 or context_len < 0:
         raise ValueError(f"need core_len >= 1 and context_len >= 0, got "
                          f"{core_len}/{context_len}")
-    segments = []
     n = -(-num_frames // core_len)  # ceil
-    for k in range(n):
-        core_start = k * core_len
-        core_end = min(core_start + core_len, num_frames)
-        start = core_start - context_len
-        end = core_start + core_len + context_len
-        segments.append(Segment(
-            index=k,
-            start=start,
-            end=end,
-            core_start=core_start,
-            core_end=core_end,
-            left_pad=max(0, -start),
-            right_pad=max(0, end - num_frames),
-        ))
-    return segments
+    return [Segment(start=core_start - context_len, end=core_start + core_len + context_len,
+                    core_start=core_start, core_end=min(core_start + core_len, num_frames))
+            for core_start in range(0, n * core_len, core_len)]
 
 
 def window_indices(segment: Segment, num_frames: int) -> np.ndarray:
@@ -79,10 +63,11 @@ def core_mask(segment: Segment) -> np.ndarray:
     return mask
 
 
-def window_labels(session, segment: Segment, role: str = "target") -> np.ndarray:
-    labels = session.roles[role].labels
+def window_labels(session, segment: Segment) -> np.ndarray:
+    """The target's labels at the window's frames, edge-replicated."""
+    labels = session.roles["target"].labels
     if labels is None:
-        raise ValueError(f"role '{role}' of session '{session.session_id}' has no labels")
+        raise ValueError(f"role 'target' of session '{session.session_id}' has no labels")
     return labels[window_indices(segment, session.num_frames)]
 
 

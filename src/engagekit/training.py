@@ -192,7 +192,8 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
     Checkpoints store the EMA weights, i.e. exactly what validation scored.
     Raises ValueError naming the session, before the first step, if a
     training session has no frames, a labeled validation session has fewer
-    than 2, or either lacks the partner role the model reads. Raises
+    than 2, or either lacks the partner role the model reads or has stream
+    dims other than the first training session's. Raises
     DivergenceError with the epoch/batch position if the loss or any
     gradient goes non-finite, or the loss is 0/0 (a degenerate CCC batch).
     """
@@ -206,11 +207,16 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
+    scored = [s for s in val_sessions or () if s.roles["target"].labels is not None]
     for session in labeled:
         check_session(model, session)
-    for session in val_sessions or ():      # evaluate_sessions scores the labeled ones
-        if session.roles["target"].labels is not None:
-            check_session(model, session, scored=True)
+    for session in scored:                  # evaluate_sessions scores the labeled ones
+        check_session(model, session, scored=True)
+    first, dims = labeled[0].session_id, labeled[0].feature_dims()
+    for session in labeled + scored:
+        if session.feature_dims() != dims:
+            raise ValueError(f"session '{session.session_id}' has stream dims "
+                             f"{session.feature_dims()}, training session '{first}' has {dims}")
     pairs = [(si, seg) for si, session in enumerate(labeled)
              for seg in make_segments(session.num_frames, model.core_len, model.context_len)]
 

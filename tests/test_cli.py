@@ -225,6 +225,21 @@ def test_eval_refuses_damaged_session_manifest(tmp_path, capsys, damage, named):
     assert "error[data]" in err and str(session_dir) in err and named in err
 
 
+
+def test_eval_refuses_a_nan_label(tmp_path, capsys):
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    (session_dir,) = sorted(val_dir.glob("session_*"))
+    with open(session_dir / "target" / "labels.datf", "r+b") as f:
+        f.seek(16 + 5 * 4)                  # frame 5 of the one-column matrix
+        f.write(struct.pack("<f", np.nan))
+    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", "oracle", "--preset", "desk"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    session_id = json.loads((session_dir / "manifest.json").read_text())["session_id"]
+    assert (f"error[data]: session '{session_id}' label out of [0, 1] for role 'target' "
+            f"at frame 5: nan") in err
+    assert "mean ccc" not in out
+
 @pytest.mark.parametrize("line, named", [
     pytest.param("heads = 0", "heads >= 1", id="heads"),
     pytest.param("model_dim = 0", "model_dim >= 1", id="model_dim"),

@@ -160,9 +160,9 @@ def _sessions(n, frames=90, seed=0):
 def test_evaluate_sessions_oracle_predictor():
     sessions = _sessions(3)
     report = evaluate_sessions(LabelEchoPredictor(core_len=16, context_len=8), sessions)
-    assert report.ccc_per_session == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+    assert [row["ccc"] for row in report.sessions] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
     assert report.mean_ccc == pytest.approx(1.0, abs=1e-12)
-    assert report.mse_per_session == pytest.approx([0.0, 0.0, 0.0], abs=1e-14)
+    assert [row["mse"] for row in report.sessions] == pytest.approx([0.0, 0.0, 0.0], abs=1e-14)
 
 
 def test_evaluate_sessions_constant_predictor():
@@ -171,7 +171,7 @@ def test_evaluate_sessions_constant_predictor():
             return T.constant(np.full(target.shape, 0.5))
 
     report = evaluate_sessions(ConstantPredictor(16, 8), _sessions(2))
-    assert report.ccc_per_session == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert [row["ccc"] for row in report.sessions] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_evaluate_sessions_skips_unlabeled():
@@ -179,7 +179,7 @@ def test_evaluate_sessions_skips_unlabeled():
     sessions[1].roles["target"].labels = None
     with pytest.warns(RuntimeWarning):
         report = evaluate_sessions(LabelEchoPredictor(16, 8), sessions)
-    assert len(report.ccc_per_session) == 1
+    assert len(report.sessions) == 1
     assert report.skipped == [sessions[1].session_id]
 
 
@@ -306,8 +306,8 @@ def test_predict_session_cuts_rows_only_in_the_last_layers(monkeypatch):
 
 
 def test_report_mean_is_arithmetic_average_and_serializes(tmp_path):
-    report = EvalReport(session_ids=["a", "b"], ccc_per_session=[0.25, 0.75],
-                        mse_per_session=[0.1, 0.2], frame_counts=[10, 20])
+    report = EvalReport(sessions=[{"session_id": "a", "ccc": 0.25, "mse": 0.1, "frames": 10},
+                                  {"session_id": "b", "ccc": 0.75, "mse": 0.2, "frames": 20}])
     assert report.mean_ccc == pytest.approx(0.5)
     report.write_json(tmp_path / "report.json")
     report.write_csv(tmp_path / "report.csv")

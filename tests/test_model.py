@@ -424,6 +424,23 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+
+def test_checkpoint_refused_by_its_header_reads_only_the_header(tmp_path):
+    path = tmp_path / "image.ckpt"
+    with open(path, "wb") as f:
+        f.write(b"\x89PNG\r\n\x1a\n")
+        f.truncate(64 << 20)
+    from engagekit.data import DataFormatError
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match=r"image\.ckpt: bad checkpoint magic "
+                                                  r"b'\\x89PNG' at offset 0"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
 @pytest.mark.parametrize("version", [1, 2, 3])
 def test_checkpoint_old_version_refused(tmp_path, version):
     # v1 has no head LayerNorm; v2 names parameters differently and stores

@@ -28,7 +28,7 @@ def test_make_segments_single_exact_window():
     (seg,) = make_segments(32, 32, 0)
     assert (seg.start, seg.end) == (0, 32)
     assert (seg.core_start, seg.core_end) == (0, 32)
-    assert seg.left_pad == seg.right_pad == 0
+    assert seg.start >= 0 and seg.end <= 32     # no padding on either side
 
 
 def test_make_segments_ragged_tail():
@@ -72,7 +72,7 @@ def test_cores_partition_timeline():
 def test_extract_window_interior_is_raw_slice():
     session = tiny_session(64)
     seg = make_segments(64, 8, 4)[3]    # fully interior
-    assert seg.left_pad == 0 and seg.right_pad == 0
+    assert seg.start >= 0 and seg.end <= 64
     window = build_window_batch(session, [seg]).target
     for name, arr in window.items():
         raw = session.roles["target"].streams[name][seg.start:seg.end]
@@ -148,7 +148,7 @@ def test_reassemble_checks_coverage_not_values():
 def test_mixed_batch_equals_stacked_windows():
     sessions = [tiny_session(21, seed=1), tiny_session(9, seed=2)]
     items = [(s, g) for s in sessions for g in make_segments(s.num_frames, 8, 4)]
-    assert items[0][1].left_pad > 0 and items[-1][1].right_pad > 0
+    assert items[0][1].start < 0 and items[-1][1].end > items[-1][0].num_frames
     batch = build_mixed_batch(items)
     for role in ("target", "partner"):
         streams = [s.roles[role].streams for s, _ in items]
