@@ -1,8 +1,9 @@
 """Command-line entry point: synth, train, eval, predict, gradcheck, ablate.
 
 Configuration is resolved as defaults <- preset <- config file <- flags
-(rightmost wins); every run prints the resolved configuration and seed so it
-can be reproduced verbatim. Exit codes: 0 success, 1 usage error, 2 data,
+(rightmost wins); `train` and `ablate` then take the stream dims from the
+first training session. Every run prints the resolved configuration and seed
+so it can be reproduced verbatim. Exit codes: 0 success, 1 usage error, 2 data,
 format or file I/O error, 3 numerical failure (divergence, gradcheck breach).
 """
 
@@ -67,25 +68,19 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+_MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)
+                 if f.name != "feature_dims"}    # read from the training corpus
 _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _coerce(key: str, value):
-    if not isinstance(value, str):
-        return value
-    if key == "feature_dims":
-        try:
-            return {name: int(dim) for name, dim in
-                    (item.split(":") for item in value.split(","))}
-        except ValueError:
-            raise CliUsageError(f"config key 'feature_dims' must look like "
-                                f"'opensmile:88,w2vbert:1024,...', got {value!r}")
     kind = _MODEL_FIELDS.get(key) or _TRAIN_FIELDS.get(key)
     if kind is None:
         raise CliUsageError(f"unknown config key '{key}'")
+    if not isinstance(value, str):
+        return value
     text = value.strip()
     if kind == "bool":
         low = text.lower()
@@ -168,10 +163,11 @@ def cmd_train(args) -> int:
     overrides = {"seed": args.seed, "epochs": args.epochs, "lr": args.lr,
                  "batch_size": args.batch_size, "loss": args.loss}
     model_cfg, train_cfg = resolve_configs(args.preset, args.config, overrides)
-    print_resolved("train", model_cfg, train_cfg)
-    print(f"  seed = {train_cfg.seed}")
     train_sessions = load_sessions(args.data)
     val_sessions = load_sessions(args.val) if args.val else None
+    model_cfg = dataclasses.replace(model_cfg, feature_dims=train_sessions[0].feature_dims())
+    print_resolved("train", model_cfg, train_cfg)
+    print(f"  seed = {train_cfg.seed}")
     model = EngagementModel(model_cfg, seed=train_cfg.seed)
     print(f"model: {model.num_parameters():,} parameters")
     result = train(model, train_sessions, val_sessions, train_cfg, out_dir=args.out)
@@ -393,11 +389,12 @@ def cmd_ablate(args) -> int:
     if args.seeds < 1:
         raise CliUsageError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = list(range(train_cfg.seed, train_cfg.seed + args.seeds))
+    train_sessions = load_sessions(args.data)
+    val_sessions = load_sessions(args.val)
+    model_cfg = dataclasses.replace(model_cfg, feature_dims=train_sessions[0].feature_dims())
     print_resolved("ablate", model_cfg, train_cfg)
     print(f"  arms = {','.join(arms)}")
     print(f"  seeds = {seeds}")
-    train_sessions = load_sessions(args.data)
-    val_sessions = load_sessions(args.val)
     rows = run_ablate(model_cfg, train_cfg, train_sessions, val_sessions,
                       arms, seeds, out_dir=args.out)
     print(f"{'arm':14s} {'mean_val_ccc':>12s} {'sd':>8s}")

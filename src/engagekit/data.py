@@ -19,6 +19,7 @@ noise. Everything is a pure function of (seed, session index).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, asdict
@@ -116,6 +117,18 @@ class SessionRecord:
     def feature_dims(self) -> dict[str, int]:
         any_role = next(iter(self.roles.values()))
         return {name: arr.shape[1] for name, arr in any_role.streams.items()}
+
+    def check_finite(self) -> None:
+        """Raise DataFormatError naming the role, the stream and the first
+        frame that holds a NaN or an infinity. Loading does not run this;
+        callers run it once a result has gone non-finite."""
+        for role, data in self.roles.items():
+            for name, arr in data.streams.items():
+                bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+                if bad.size:
+                    raise DataFormatError(f"session '{self.session_id}' stream "
+                                          f"'{role}/{name}' is not finite at frame "
+                                          f"{int(bad[0])}")
 
     def validate(self) -> None:
         if "target" not in self.roles:
@@ -277,6 +290,8 @@ class SynthConfig:
     def __post_init__(self):
         if not -1.0 <= self.partner_coupling <= 1.0:
             raise ValueError("partner_coupling must be in [-1, 1]")
+        if not 0.0 <= self.obs_noise < math.inf:
+            raise ValueError(f"obs_noise must be finite and >= 0, got {self.obs_noise}")
         if self.quantize_levels < 0 or self.quantize_levels == 1:
             raise ValueError("quantize_levels must be 0 or >= 2")
         if self.num_frames < 1 or self.sessions < 1:

@@ -104,7 +104,8 @@ def ccc_loss(pred: Tensor, label, mask=None) -> Tensor:
         # 0/0: a numerical failure of the batch, not malformed input.
         raise T.NonFiniteError("ccc_loss: degenerate batch (both series constant, "
                                "equal means)")
-    return T.shift(T.scale(T.div(cov, denom), -2.0), 1.0)
+    one = T.constant(np.ones((), dtype=pred.dtype))
+    return T.sub(one, T.scale(T.div(cov, denom), 2.0))
 
 
 @dataclass
@@ -184,8 +185,9 @@ def predict_session(model, session) -> np.ndarray:
     ``windows(lo, hi)`` cutter of windows lo..hi-1 as (target, partner)
     inputs, and ``forward(target, partner, train=False)``, which returns
     their ``[hi - lo, core, 1]`` core predictions. Both run under
-    ``no_grad``. Raises ValueError naming the session (``check_session``),
-    and NonFiniteError naming the session if a batch's output is not finite
+    ``no_grad``. Raises ValueError naming the session (``check_session``).
+    If a batch's output is not finite, raises DataFormatError naming the
+    first non-finite stream value, or else NonFiniteError naming the session
     (damaged weights, say)."""
     check_session(model, session)
     num_windows = -(-session.num_frames // model.core_len)
@@ -196,6 +198,7 @@ def predict_session(model, session) -> np.ndarray:
             hi = min(lo + WINDOWS_PER_BATCH, num_windows)
             out = model.forward(*windows(lo, hi), train=False).data[..., 0]
             if not np.all(np.isfinite(out)):
+                session.check_finite()      # a damaged stream is a data error
                 raise T.NonFiniteError(f"session '{session.session_id}': non-finite "
                                        f"predictions in windows {lo}..{hi - 1}")
             cores.append(out)

@@ -488,11 +488,11 @@ def param_count(cfg: ModelConfig, arch: str = "dialogue") -> int:
 
 def save_checkpoint(path, model, extra: dict | None = None) -> None:
     """Single-file checkpoint: magic, version, JSON manifest (arch, config and
-    the ``{name, shape}`` of each parameter in walk order), then all
-    parameters as one little-endian blob in the config's dtype, so a model
-    round-trips bit-exactly. The file is written to ``<path>.tmp`` and moved
-    over ``path`` only when complete, so a failed write leaves an existing
-    checkpoint as it was."""
+    the ``{name, shape}`` of each parameter in walk order), then each
+    parameter, little-endian in the config's dtype and written straight from
+    its array, so a model round-trips bit-exactly. The file is written to
+    ``<path>.tmp`` and moved over ``path`` only when complete, so a failed
+    write leaves an existing checkpoint as it was."""
     params = model.named_parameters()
     manifest = {
         "arch": model.arch,
@@ -503,13 +503,13 @@ def save_checkpoint(path, model, extra: dict | None = None) -> None:
         manifest["extra"] = extra
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
     dtype = np.dtype(model.cfg.dtype).newbyteorder("<")
-    blob = b"".join(np.ascontiguousarray(p.data, dtype=dtype).tobytes() for _, p in params)
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(manifest_bytes))
                     + manifest_bytes)
-            f.write(blob)
+            for _, p in params:
+                f.write(np.ascontiguousarray(p.data, dtype=dtype))
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -25,7 +25,7 @@ reads is freed as soon as the forward drops it. Per op, it keeps:
 - ``layer_norm``: x̂, 1/σ and gamma;
 - ``gelu``: its input and ``h``;
 - ``dropout``: the boolean keep mask (one byte per unit) and the scale;
-- ``add``, ``sub``, ``scale``, ``shift``, ``concat``, ``reshape``, ``sum``:
+- ``add``, ``sub``, ``scale``, ``concat``, ``reshape``, ``sum``:
   no array.
 
 Float64 is the default dtype so finite-difference checks are meaningful;
@@ -144,14 +144,13 @@ def _slot_of(t: Tensor) -> Tensor | _Slot | None:
     return t if t._slot is None else t._slot
 
 
-def _accumulate(slot: Tensor | _Slot | None, g: np.ndarray) -> None:
+def _accumulate(slot: Tensor | _Slot, g: np.ndarray) -> None:
     # Ownership rule: `backward` releases each slot's gradient before its
     # backward_fn runs, so a backward_fn owns `g` and every array it derives
     # from it. `slot` adopts what it is handed and may later add into it in
     # place; a backward_fn therefore hands one buffer (or overlapping views
-    # of it) to at most one input, and never a read-only array.
-    if slot is None:
-        return
+    # of it) to at most one input, and never a read-only array. No caller
+    # passes None: a single-input op is taped only if its input needs `g`.
     if slot.grad is None:
         slot.grad = g
     else:
@@ -174,13 +173,11 @@ def _record(slots: tuple, out_data: np.ndarray,
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `g` down to `shape` over leading/stretched broadcast axes."""
+    """Sum `g` down to `shape` over its leading axes; the rest already match,
+    since `_check_suffix_broadcast` admits only equal shapes or a suffix."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
     return g
 
 
@@ -285,8 +282,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         gh = split(g, lq)
         if sv is not None:
             _accumulate(sv, merge(pt @ gh, lk))
-        if sq is None and sk is None:
-            return
         d2 = np.empty_like(p2)
         dst = d2.reshape(lk, b, heads, lq).transpose(1, 2, 0, 3)
         np.matmul(vh, gh.swapaxes(-1, -2), out=dst)
@@ -376,17 +371,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         _accumulate(sa, g * s)
-
-    return _record((sa,), out_data, backward)
-
-
-def shift(a: Tensor, s: float) -> Tensor:
-    """Add a python scalar (no gradient to the scalar)."""
-    out_data = a.data + float(s)
-    sa = _slot_of(a)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(sa, g)
 
     return _record((sa,), out_data, backward)
 

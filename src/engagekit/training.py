@@ -11,6 +11,7 @@ mode.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -45,13 +46,13 @@ class TrainConfig:
     eval_interval: int = 1               # epochs between validation passes
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} "
                              f"and {self.beta2}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must be in [0, 1)")
         if self.loss not in ("mse", "ccc"):
@@ -195,7 +196,9 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
     than 2, or either lacks the partner role the model reads or has stream
     dims other than the first training session's. Raises
     DivergenceError with the epoch/batch position if the loss or any
-    gradient goes non-finite, or the loss is 0/0 (a degenerate CCC batch).
+    gradient goes non-finite, or the loss is 0/0 (a degenerate CCC batch),
+    but DataFormatError naming the stream and frame if a non-finite loss
+    comes from a non-finite training stream value.
     """
     labeled = [s for s in train_sessions if s.roles["target"].labels is not None]
     if not labeled:
@@ -245,6 +248,8 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
             except T.NonFiniteError as exc:
                 raise DivergenceError(f"{exc} at epoch {epoch}, batch {bi}") from exc
             if not np.isfinite(loss.data):
+                for session in labeled:     # a damaged stream is a data error
+                    session.check_finite()
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {bi}")
             T.backward(loss)
             if cfg.grad_clip:

@@ -8,8 +8,10 @@ import pytest
 
 import engagekit.cli as cli
 from engagekit.cli import dispatch, parse_config_file, resolve_configs, CliUsageError
-from engagekit.data import SynthConfig, load_sessions, save_session, synth_corpus, synth_session
-from engagekit.model import EngagementModel, ModelConfig, param_count, save_checkpoint
+from engagekit.data import (DEFAULT_FEATURE_DIMS, SynthConfig, load_sessions, save_session,
+                            synth_corpus, synth_session)
+from engagekit.model import (EngagementModel, ModelConfig, load_checkpoint, param_count,
+                             save_checkpoint)
 from engagekit.tensor import Tensor
 from engagekit.training import TrainConfig
 
@@ -41,10 +43,16 @@ def fast_flags(tmp_path, out="run"):
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# comment\nmodel_dim = 64\ndropout = 0.1  # trailing\n"
-                    "use_partner_cross = false\nloss = ccc\n\n")
+                    "use_partner_cross = false\nuse_group_fusion = true\nloss = ccc\n\n")
     parsed = parse_config_file(path)
-    assert parsed == {"model_dim": 64, "dropout": 0.1,
-                      "use_partner_cross": False, "loss": "ccc"}
+    assert parsed == {"model_dim": 64, "dropout": 0.1, "use_partner_cross": False,
+                      "use_group_fusion": True, "loss": "ccc"}
+
+
+@pytest.mark.parametrize("value", [3, 3.0, True], ids=["int", "float", "bool"])
+def test_resolve_configs_refuses_an_unknown_override_key(value):
+    with pytest.raises(CliUsageError, match="unknown config key 'epoch'"):
+        resolve_configs("desk", None, {"epoch": value})
 
 
 def test_config_precedence_flags_beat_file_beat_preset(tmp_path):
@@ -65,7 +73,9 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["share_stream_encoders = true", "use_positional = false",
-                                  "head_hidden = 12"])
+                                  "head_hidden = 12",
+                                  "feature_dims = opensmile:5,w2vbert:7,clip:6,openface:4,"
+                                  "openpose:3"])
 def test_config_removed_model_key_is_usage_error(tmp_path, capsys, line):
     config = tmp_path / "old.cfg"
     config.write_text(line + "\n")
@@ -249,10 +259,29 @@ def test_eval_refuses_a_nan_label(tmp_path, capsys):
     pytest.param("ffn_mult = 0", "ffn_mult >= 1", id="ffn_mult_0"),
     pytest.param("ffn_mult = -1", "ffn_mult >= 1", id="ffn_mult_neg"),
     pytest.param("epochs = 0", "epochs must be >= 1", id="epochs_0"),
+    pytest.param("lr = nan", "lr must be positive and finite, got nan", id="lr_nan"),
+    pytest.param("lr = inf", "lr must be positive and finite, got inf", id="lr_inf"),
+    pytest.param("eps = nan", "eps must be positive and finite, got nan", id="eps_nan"),
+    pytest.param("eps = inf", "eps must be positive and finite, got inf", id="eps_inf"),
+    pytest.param("heads = 3", "heads (3) must divide model_dim (512)", id="heads_divide"),
+    pytest.param("dtype = float16", "dtype must be float64 or float32", id="dtype"),
+    pytest.param("cross_layers = 0", "cross_layers and encoder_depth must be >= 1",
+                 id="cross_layers"),
+    pytest.param("core_len = 0", "need core_len >= 1", id="core_len"),
+    pytest.param("dropout = 1.0", "dropout must be in [0, 1), got 1.0", id="dropout"),
+    pytest.param("epochs = three", "config key 'epochs' expects int, got 'three'",
+                 id="epochs_not_int"),
+    pytest.param("use_partner_cross = maybe",
+                 "config key 'use_partner_cross' expects a boolean, got 'maybe'",
+                 id="flag_not_bool"),
+    pytest.param("epochs 3", "bad.cfg:1: expected 'key = value', got 'epochs 3'",
+                 id="no_equals"),
+    pytest.param(None, "cannot read config file", id="unreadable"),
 ])
 def test_config_out_of_range_is_usage_error(tmp_path, capsys, line, named):
     config = tmp_path / "bad.cfg"
-    config.write_text(line + "\n")
+    if line is not None:                    # else the config path does not exist
+        config.write_text(line + "\n")
     code = dispatch(["train", "--data", str(tmp_path / "absent"), "--config", str(config),
                      "--out", str(tmp_path / "run")])
     assert code == 1
@@ -304,6 +333,46 @@ def test_predict_refuses_a_directory_of_several_sessions(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error[usage]" in err and f"{train_dir} holds 2 sessions" in err
+
+
+def test_predict_refuses_the_oracle(tmp_path, capsys):
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    code = dispatch(["predict", "--session", str(val_dir), "--ckpt", "oracle",
+                     "--out", str(tmp_path / "p.csv")])
+    assert code == 1
+    assert "error[usage]: predict needs a real checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def _poison_stream(session_dir, role="target", stream="clip", frame=5):
+    """Write a NaN into column 0 of ``frame`` of one stream file."""
+    path = session_dir / role / f"{stream}.datf"
+    cols = struct.unpack_from("<I", path.read_bytes(), 12)[0]
+    with open(path, "r+b") as f:
+        f.seek(16 + frame * cols * 4)
+        f.write(struct.pack("<f", np.nan))
+    return json.loads((session_dir / "manifest.json").read_text())["session_id"]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "train", "train_val"])
+def test_a_non_finite_stream_value_is_a_data_error(tmp_path, capsys, command):
+    # Not a numerical failure: the message names the stream and the frame.
+    train_dir, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    poisoned = train_dir if command == "train" else val_dir
+    session_id = _poison_stream(sorted(poisoned.glob("session_*"))[0])
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, EngagementModel(toy_config(feature_dims=dict(DEFAULT_FEATURE_DIMS)),
+                                          seed=0))
+    args = {"eval": ["eval", "--data", str(val_dir), "--ckpt", str(ckpt)],
+            "predict": ["predict", "--session", str(val_dir), "--ckpt", str(ckpt),
+                        "--out", str(tmp_path / "p.csv")],
+            "train": ["train", "--data", str(train_dir)] + fast_flags(tmp_path),
+            "train_val": ["train", "--data", str(train_dir), "--val", str(val_dir)]
+            + fast_flags(tmp_path)}[command]
+    assert dispatch(args) == 2
+    err = capsys.readouterr().err
+    assert (f"error[data]: session '{session_id}' stream 'target/clip' is not finite "
+            f"at frame 5") in err
 
 
 def test_predict_non_finite_output_is_numeric_error(tmp_path, capsys, monkeypatch):
@@ -505,15 +574,26 @@ def test_gradcheck_cli_passes(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_code(tmp_path, capsys):
+    # Finite data and a step size that overflows the weights after one step;
+    # a non-finite stream value is a data error instead
+    # (test_a_non_finite_stream_value_is_a_data_error).
     train_dir, val_dir = synth_dirs(tmp_path)
-    stream = train_dir / "session_000" / "target" / "clip.datf"
-    raw = bytearray(stream.read_bytes())
-    raw[16:20] = np.array([np.inf], dtype="<f4").tobytes()  # poison one value
-    stream.write_bytes(bytes(raw))
-    code = dispatch(["train", "--data", str(train_dir), "--val", str(val_dir)]
-                    + fast_flags(tmp_path, out="div"))
+    code = dispatch(["train", "--data", str(train_dir), "--val", str(val_dir),
+                     "--lr", "1e30"] + fast_flags(tmp_path, out="div"))
     assert code == 3
     assert "error[numeric]" in capsys.readouterr().err
+
+
+def test_train_takes_the_stream_dims_from_the_corpus(tmp_path, capsys):
+    # No config file names the toy dims: they come from the training data.
+    train_dir, _ = synth_dirs(tmp_path, frames=64, sessions=1,
+                              feature_dims=TOY_FEATURE_DIMS)
+    code = dispatch(["train", "--data", str(train_dir), "--preset", "desk",
+                     "--epochs", "1", "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert f"feature_dims = {TOY_FEATURE_DIMS}" in capsys.readouterr().out
+    _, manifest = load_checkpoint(tmp_path / "run" / "last.ckpt")
+    assert manifest["config"]["feature_dims"] == TOY_FEATURE_DIMS
 
 
 def _train_corpus_with(tmp_path, damage):

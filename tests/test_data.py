@@ -155,6 +155,22 @@ def test_synth_refuses_negative_session_index(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("obs_noise", [-1.0, float("nan"), float("inf")])
+def test_synth_config_refuses_obs_noise_not_finite_and_non_negative(obs_noise):
+    with pytest.raises(ValueError, match="obs_noise must be finite and >= 0"):
+        toy_synth(obs_noise=obs_noise)
+
+
+def test_non_finite_stream_value_is_named_only_when_checked():
+    session = synth_session(toy_synth(num_frames=20), 0)
+    session.check_finite()
+    session.roles["partner"].streams["openface"][7, 2] = np.inf
+    session.validate()                      # loading does not look at values
+    with pytest.raises(DataFormatError, match=r"session 'synth-0007-000' stream "
+                                              r"'partner/openface' is not finite at frame 7"):
+        session.check_finite()
+
+
 def test_synth_corpus_byte_identical(tmp_path):
     synth_corpus(toy_synth(sessions=2), tmp_path / "a")
     synth_corpus(toy_synth(sessions=2), tmp_path / "b")

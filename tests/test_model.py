@@ -461,6 +461,24 @@ def test_checkpoint_missing_parameter_refused(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_save_writes_parameters_without_a_blob_in_memory(tmp_path):
+    # The desk model holds 3.1 MB of float32 parameters; joining them into
+    # one bytes object first peaked at twice that.
+    model_cfg, _ = resolve_configs("desk", None, {})
+    model = EngagementModel(model_cfg, seed=0)
+    path = tmp_path / "desk.ckpt"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6
+    loaded, _ = load_checkpoint(path)
+    for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(p.data, q.data), name
+
+
 def test_checkpoint_interrupted_save_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "best.ckpt"
     save_checkpoint(path, EngagementModel(toy_config(), seed=16))

@@ -259,3 +259,8 @@ def test_dropout_draws_one_uniform_per_unit(dtype):
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ValueError):
         dropout(T.constant(np.ones(3)), 1.0, True, np.random.default_rng(0))
+
+
+def test_dropout_in_train_mode_needs_an_rng():
+    with pytest.raises(ValueError, match="dropout in train mode needs an rng"):
+        dropout(T.constant(np.ones(3)), 0.5, True)

@@ -304,7 +304,7 @@ def test_add_gives_each_operand_its_own_gradient():
     # a's backward and would otherwise leak into what `a` hands on.
     x = t([1.0, -2.0])
     a = T.reshape(x, (2,))
-    c = T.shift(x, 0.0)
+    c = T.scale(x, 1.0)
     b = T.reshape(x, (2,))
     backward(T.add(T.tensor_sum(T.add(a, b)), T.tensor_sum(c)))
     assert np.array_equal(x.grad, [3.0, 3.0])
@@ -360,7 +360,7 @@ def test_linear_keeps_its_input_only_for_the_weight_gradient(weight_learns):
     rng = np.random.default_rng(22)
     x = t(rng.standard_normal((2, 3, 4)))
     w = Tensor(rng.standard_normal((4, 5)), requires_grad=weight_learns)
-    a = T.shift(x, 1.0)
+    a = T.scale(x, 1.0)
     kept = weakref.ref(_owner(a.data))
     out = T.linear(a, w)
     del a
@@ -368,13 +368,13 @@ def test_linear_keeps_its_input_only_for_the_weight_gradient(weight_learns):
     backward(T.tensor_sum(out))
     assert np.allclose(x.grad, np.ones((2, 3, 5)) @ w.data.T)
     if weight_learns:
-        assert np.allclose(w.grad, (x.data + 1.0).reshape(-1, 4).T @ np.ones((6, 5)))
+        assert np.allclose(w.grad, x.data.reshape(-1, 4).T @ np.ones((6, 5)))
 
 
 def test_mul_keeps_an_operand_only_for_the_other_ones_gradient():
     rng = np.random.default_rng(23)
     x = t(rng.standard_normal(6))
-    a = T.shift(x, 1.0)                      # needs a gradient
+    a = T.scale(x, 1.0)                      # needs a gradient
     b = T.constant(rng.standard_normal(6))   # needs none
     b_values = b.data.copy()
     a_kept, b_kept = weakref.ref(_owner(a.data)), weakref.ref(_owner(b.data))

@@ -209,7 +209,9 @@ def test_train_aborts_on_divergence():
     cfg = toy_config(core_len=8, context_len=4)
     model = EngagementModel(cfg, seed=4)
     sessions = tiny_sessions(1)
-    sessions[0].roles["target"].streams["clip"][:] = np.nan
+    # A damaged weight, not a damaged stream: a non-finite stream value is
+    # a data error (test_a_non_finite_stream_value_is_a_data_error).
+    model.named_parameters()[0][1].data[:] = np.nan
     with pytest.raises(DivergenceError, match="epoch 0, batch 0"):
         train(model, sessions, None, desk_train_cfg(epochs=1), quiet=True)
 
