@@ -167,7 +167,6 @@ def cmd_train(args) -> int:
     val_sessions = load_sessions(args.val) if args.val else None
     model_cfg = dataclasses.replace(model_cfg, feature_dims=train_sessions[0].feature_dims())
     print_resolved("train", model_cfg, train_cfg)
-    print(f"  seed = {train_cfg.seed}")
     model = EngagementModel(model_cfg, seed=train_cfg.seed)
     print(f"model: {model.num_parameters():,} parameters")
     result = train(model, train_sessions, val_sessions, train_cfg, out_dir=args.out)
@@ -186,8 +185,12 @@ def cmd_eval(args) -> int:
     print_resolved("eval", model_cfg)
     print(f"  ckpt = {args.ckpt}")
     report = evaluate_sessions(predictor, load_sessions(args.data))
+    if not report.sessions:
+        raise ValueError(f"--data {args.data}: no session carries target labels")
     for row in report.sessions:
         print(f"session {row['session_id']}: ccc {row['ccc']:.4f}")
+    for session_id in report.skipped:
+        print(f"session {session_id}: no labels, skipped")
     print(f"mean ccc: {report.mean_ccc:.4f}")
     if args.report:
         report.write_json(args.report)
@@ -476,7 +479,10 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        # An explicit finiteness check reports every numeric failure (loss,
+        # gradients, predictions, stored matrices); numpy's warnings repeat it.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except CliUsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE

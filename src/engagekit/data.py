@@ -3,8 +3,9 @@
 This module names the five feature streams (``STREAMS``) and their default
 dims, since the stored files are named after them; it imports nothing from
 the package. A session directory holds a `manifest.json` plus one binary
-matrix file per feature stream and per role (`target/`, `partner/`), with
-frame labels in [0, 1] as a one-column matrix. The matrix container
+matrix file per feature stream and per role (`target/`, `partner/`), and
+optional frame labels in [0, 1] as a one-column matrix: the code that trains
+or scores on labels asks for them, storage does not. The matrix container
 ("DATF") is 16 bytes of header -- magic, version, rows, cols, all
 little-endian -- followed by row-major float32 payload, and round-trips
 bit-exactly.
@@ -161,9 +162,6 @@ class SessionRecord:
                     raise DataFormatError(
                         f"session '{self.session_id}' label out of [0, 1] for role "
                         f"'{role}' at frame {int(bad[0])}: {float(labels[bad[0]])}")
-        if self.roles["target"].labels is None:
-            raise DataFormatError(f"session '{self.session_id}' target role must "
-                                  f"carry labels")
 
 
 def save_session(directory, record: SessionRecord) -> None:
@@ -192,11 +190,11 @@ def save_session(directory, record: SessionRecord) -> None:
 
 def load_session(directory) -> SessionRecord:
     """Read one session directory. The manifest is not trusted: it must be a
-    JSON object of this schema version with a string ``session_id``, an integer
-    ``num_frames``, ``feature_dims`` giving a positive integer for every
-    stream, a ``roles`` list of names that includes ``target`` and, if
-    present, a positive ``frame_rate_hz``. Any breach, like any bad stream
-    file, raises DataFormatError naming the directory."""
+    JSON object with the integer ``schema_version`` 1, a string ``session_id``,
+    an integer ``num_frames``, ``feature_dims`` giving a positive integer for
+    every stream, a ``roles`` list of names that includes ``target`` and, if
+    present, a positive ``frame_rate_hz``. Labels files are optional. Any
+    breach, like any bad stream file, raises DataFormatError naming it."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -208,9 +206,9 @@ def load_session(directory) -> SessionRecord:
         raise DataFormatError(f"{directory}: manifest.json is not UTF-8 JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{directory}: manifest.json is not a JSON object")
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise DataFormatError(f"{directory}: unsupported schema_version "
-                              f"{manifest.get('schema_version')}")
+    version = manifest.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # refuses true and 1.0
+        raise DataFormatError(f"{directory}: unsupported schema_version {version!r}")
     missing = [key for key in ("session_id", "num_frames", "feature_dims", "roles")
                if key not in manifest]
     if missing:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .model import PARTNER_REQUIRED
+from .model import PARTNER_REQUIRED, _check_bundle
 from .tensor import Tensor
 
 
@@ -138,9 +138,9 @@ class EvalReport:
 class LabelEchoPredictor:
     """Oracle predictor whose windows are the target's label cores and whose
     ``forward`` returns them; it runs the session path's batching and
-    stitching end to end (perfect plumbing gives CCC = 1)."""
+    stitching end to end (perfect plumbing gives CCC = 1). It reads no stream."""
 
-    roles = ("target",)
+    roles = ()
 
     def __init__(self, core_len: int = 32, context_len: int = 32):
         self.core_len = core_len
@@ -164,15 +164,17 @@ WINDOWS_PER_BATCH = 16
 
 def check_session(model, session, scored: bool = False) -> None:
     """Raise ValueError naming the session if it has no frames, fewer than
-    the 2 that CCC needs when it is ``scored``, or lacks the partner role the
-    model reads."""
+    the 2 that CCC needs when it is ``scored``, lacks a role the model reads,
+    or has a stream in one whose dim is not the model config's."""
     name, n = f"session '{session.session_id}'", session.num_frames
     if n < 1:
         raise ValueError(f"{name}: num_frames must be >= 1, got {n}")
     if scored and n < 2:
         raise ValueError(f"{name}: CCC needs num_frames >= 2, got {n}")
-    if "partner" in model.roles and "partner" not in session.roles:
-        raise ValueError(f"{name}: {PARTNER_REQUIRED}")
+    for role in model.roles:
+        if role not in session.roles:
+            raise ValueError(f"{name}: {PARTNER_REQUIRED}")
+        _check_bundle(session.roles[role].streams, model.cfg, f"{name}: {role}")
 
 
 def predict_session(model, session) -> np.ndarray:
@@ -180,15 +182,15 @@ def predict_session(model, session) -> np.ndarray:
     run the model over batches of WINDOWS_PER_BATCH windows, stitch the
     window cores back together, clamp to the label range.
 
-    A predictor has ``core_len``, ``roles`` (the session roles it reads),
-    ``project_session(session)``, which returns a
-    ``windows(lo, hi)`` cutter of windows lo..hi-1 as (target, partner)
-    inputs, and ``forward(target, partner, train=False)``, which returns
-    their ``[hi - lo, core, 1]`` core predictions. Both run under
-    ``no_grad``. Raises ValueError naming the session (``check_session``).
-    If a batch's output is not finite, raises DataFormatError naming the
-    first non-finite stream value, or else NonFiniteError naming the session
-    (damaged weights, say)."""
+    A predictor has ``core_len``, ``roles`` (the session roles whose streams
+    it reads, with their dims in ``cfg``), ``project_session(session)``,
+    which returns a ``windows(lo, hi)`` cutter of windows lo..hi-1 as
+    (target, partner) inputs, and ``forward(target, partner, train=False)``,
+    which returns their ``[hi - lo, core, 1]`` core predictions. Both run under
+    ``no_grad``. The session needs no labels. Raises ValueError naming the
+    session (``check_session``, run first). If a batch's output is not
+    finite, raises DataFormatError naming the first non-finite stream value,
+    or else NonFiniteError naming the session (damaged weights, say)."""
     check_session(model, session)
     num_windows = -(-session.num_frames // model.core_len)
     cores: list[np.ndarray] = []
@@ -209,13 +211,12 @@ def predict_session(model, session) -> np.ndarray:
 
 def evaluate_sessions(model, sessions) -> EvalReport:
     """Score a model per session (CCC and MSE against the target labels) and
-    average across sessions; label-less sessions are skipped with a notice.
-    Raises ValueError naming a scored session of fewer than 2 frames."""
+    average across sessions. A session without target labels is not scored:
+    its id goes to ``report.skipped``. Raises ValueError naming a scored
+    session that ``check_session`` refuses."""
     report = EvalReport()
     for session in sessions:
         if session.roles["target"].labels is None:
-            warnings.warn(f"session '{session.session_id}' has no labels; skipped",
-                          RuntimeWarning, stacklevel=2)
             report.skipped.append(session.session_id)
             continue
         check_session(model, session, scored=True)

@@ -362,15 +362,14 @@ class _Architecture(Module):
         rows [k * core, k * core + L), so the returned ``windows(lo, hi)``
         cuts windows lo..hi-1 as (target, partner) ``ProjectedWindows`` views
         of those rows, with no gather; the partner is ``None`` if the model
-        does not read it. Raises ShapeError naming the session, role and
-        stream whose dim differs from the config."""
+        does not read it. The stream dims are not checked here:
+        ``metrics.check_session`` checks them before a session is scored."""
         cfg = self.cfg
         num_windows = -(-session.num_frames // cfg.core_len)
         frames = np.arange(-cfg.context_len, num_windows * cfg.core_len + cfg.context_len)
         views: dict[str, dict[str, np.ndarray]] = {}
         for role, encoder in self._stream_encoders().items():
             streams = session.roles[role].streams
-            _check_bundle(streams, cfg, f"session '{session.session_id}': {role}")
             views[role] = {}
             for s in STREAMS:
                 # mode="clip" replicates the edge frames, as window_indices does

@@ -191,18 +191,21 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
     """Train a model; returns history plus best/last checkpoint paths.
 
     Checkpoints store the EMA weights, i.e. exactly what validation scored.
-    Raises ValueError naming the session, before the first step, if a
-    training session has no frames, a labeled validation session has fewer
-    than 2, or either lacks the partner role the model reads or has stream
-    dims other than the first training session's. Raises
+    Before the first step, raises ValueError if there is no training session,
+    or naming a training or validation session that has no target labels or
+    that ``check_session`` refuses (validation sessions as scored). Raises
     DivergenceError with the epoch/batch position if the loss or any
     gradient goes non-finite, or the loss is 0/0 (a degenerate CCC batch),
     but DataFormatError naming the stream and frame if a non-finite loss
     comes from a non-finite training stream value.
     """
-    labeled = [s for s in train_sessions if s.roles["target"].labels is not None]
-    if not labeled:
-        raise ValueError("no labeled training sessions")
+    if not train_sessions:
+        raise ValueError("no training sessions")
+    for sessions, scored in ((train_sessions, False), (val_sessions or (), True)):
+        for session in sessions:
+            if session.roles["target"].labels is None:
+                raise ValueError(f"session '{session.session_id}' has no target labels")
+            check_session(model, session, scored)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,17 +213,7 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
-    scored = [s for s in val_sessions or () if s.roles["target"].labels is not None]
-    for session in labeled:
-        check_session(model, session)
-    for session in scored:                  # evaluate_sessions scores the labeled ones
-        check_session(model, session, scored=True)
-    first, dims = labeled[0].session_id, labeled[0].feature_dims()
-    for session in labeled + scored:
-        if session.feature_dims() != dims:
-            raise ValueError(f"session '{session.session_id}' has stream dims "
-                             f"{session.feature_dims()}, training session '{first}' has {dims}")
-    pairs = [(si, seg) for si, session in enumerate(labeled)
+    pairs = [(si, seg) for si, session in enumerate(train_sessions)
              for seg in make_segments(session.num_frames, model.core_len, model.context_len)]
 
     params = model.named_parameters()
@@ -241,14 +234,14 @@ def train(model, train_sessions, val_sessions, cfg: TrainConfig,
         losses = []
         for bi, lo in enumerate(range(0, len(order), cfg.batch_size)):
             chosen = [pairs[j] for j in order[lo:lo + cfg.batch_size]]
-            batch = build_mixed_batch((labeled[si], seg) for si, seg in chosen)
+            batch = build_mixed_batch((train_sessions[si], seg) for si, seg in chosen)
             model.zero_grad()
             try:
                 loss = _batch_loss(model, batch, cfg.loss, dropout_rng)
             except T.NonFiniteError as exc:
                 raise DivergenceError(f"{exc} at epoch {epoch}, batch {bi}") from exc
             if not np.isfinite(loss.data):
-                for session in labeled:     # a damaged stream is a data error
+                for session in train_sessions:  # a damaged stream is a data error
                     session.check_finite()
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {bi}")
             T.backward(loss)

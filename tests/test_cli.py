@@ -1,6 +1,7 @@
 import csv
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 import engagekit.cli as cli
 from engagekit.cli import dispatch, parse_config_file, resolve_configs, CliUsageError
-from engagekit.data import (DEFAULT_FEATURE_DIMS, SynthConfig, load_sessions, save_session,
-                            synth_corpus, synth_session)
+from engagekit.data import (DEFAULT_FEATURE_DIMS, SynthConfig, load_session, load_sessions,
+                            save_session, synth_corpus, synth_session)
+from engagekit.metrics import ccc, predict_session
 from engagekit.model import (EngagementModel, ModelConfig, load_checkpoint, param_count,
                              save_checkpoint)
 from engagekit.tensor import Tensor
@@ -221,6 +223,10 @@ def _manifest_without(key: str):
     pytest.param(lambda m: {**m, "session_id": ["a"]}, "session_id", id="session_id_list"),
     pytest.param(lambda m: {**m, "roles": "target"}, "roles", id="roles_not_list"),
     pytest.param(lambda m: {**m, "roles": ["partner"]}, "'target'", id="no_target_role"),
+    pytest.param(lambda m: {**m, "schema_version": True}, "schema_version True",
+                 id="schema_version_bool"),
+    pytest.param(lambda m: {**m, "schema_version": 1.0}, "schema_version 1.0",
+                 id="schema_version_float"),
 ])
 def test_eval_refuses_damaged_session_manifest(tmp_path, capsys, damage, named):
     _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
@@ -572,7 +578,6 @@ def test_gradcheck_cli_passes(capsys):
     assert "attention" in out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_code(tmp_path, capsys):
     # Finite data and a step size that overflows the weights after one step;
     # a non-finite stream value is a data error instead
@@ -582,6 +587,20 @@ def test_train_divergence_exit_code(tmp_path, capsys):
                      "--lr", "1e30"] + fast_flags(tmp_path, out="div"))
     assert code == 3
     assert "error[numeric]" in capsys.readouterr().err
+
+
+def test_train_divergence_prints_only_the_error_line(tmp_path, capsys):
+    # The finiteness check reports the failure; numpy's overflow warnings
+    # on the way there reach neither the warnings machinery nor stderr.
+    train_dir, _ = synth_dirs(tmp_path, frames=1200, sessions=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(["train", "--data", str(train_dir), "--preset", "desk",
+                         "--epochs", "1", "--lr", "1e30", "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == ("error[numeric]: non-finite loss at epoch 0, "
+                                       "batch 1\n")
 
 
 def test_train_takes_the_stream_dims_from_the_corpus(tmp_path, capsys):
@@ -640,6 +659,102 @@ def test_train_names_the_validation_session_too_short_to_score(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert (f"error[data]: session '{session_id}': CCC needs num_frames >= 2, "
             f"got 1") in err
+    assert "epoch 0" not in out
+
+
+def _toy_corpus(tmp_path, damage=None):
+    """A toy-dims training corpus of two sessions, the second ``damage``d;
+    returns the corpus and the second session's directory and id."""
+    cfg = SynthConfig(sessions=1, num_frames=40, seed=4, feature_dims=dict(TOY_FEATURE_DIMS))
+    corpus = tmp_path / "train"
+    synth_corpus(cfg, corpus)
+    session = synth_session(cfg, 1)
+    if damage is not None:
+        damage(session)
+    save_session(corpus / "session_001", session)
+    return corpus, corpus / "session_001", session.session_id
+
+
+def _clip_dim_7(session):
+    for role in session.roles.values():     # one dim in both roles, as storage requires
+        role.streams["clip"] = np.zeros((session.num_frames, 7))
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(lambda s: s.roles.pop("partner"),
+                 "model was built with partner cross-attention; a partner bundle is required",
+                 id="no_partner"),
+    pytest.param(_clip_dim_7, "target stream 'clip' has dim 7, config expects 6",
+                 id="clip_dim"),
+])
+def test_every_command_runs_one_session_preflight(tmp_path, capsys, command, damage, message):
+    corpus, session_dir, session_id = _toy_corpus(tmp_path, damage)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
+    args = {"train": ["train", "--data", str(corpus)] + fast_flags(tmp_path),
+            "eval": ["eval", "--data", str(session_dir), "--ckpt", str(ckpt)],
+            "predict": ["predict", "--session", str(session_dir), "--ckpt", str(ckpt),
+                        "--out", str(tmp_path / "p.csv")]}[command]
+    assert dispatch(args) == 2
+    out, err = capsys.readouterr()
+    assert f"error[data]: session '{session_id}': {message}\n" in err
+    assert "epoch 0" not in out and not (tmp_path / "p.csv").exists()
+
+
+def _unlabeled(session_dir):
+    (session_dir / "target" / "labels.datf").unlink()
+    return session_dir
+
+
+def test_predict_scores_a_session_without_labels(tmp_path, capsys):
+    _, labeled, _ = _toy_corpus(tmp_path)
+    unlabeled = tmp_path / "unlabeled"
+    save_session(unlabeled, load_session(labeled))
+    _unlabeled(unlabeled)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
+    for name, session_dir in (("a.csv", labeled), ("b.csv", unlabeled)):
+        assert dispatch(["predict", "--session", str(session_dir), "--ckpt", str(ckpt),
+                         "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_eval_skips_a_session_without_labels(tmp_path, capsys):
+    corpus, session_dir, session_id = _toy_corpus(tmp_path)
+    _unlabeled(session_dir)
+    model = EngagementModel(toy_config(), seed=0)
+    ckpt, report = tmp_path / "m.ckpt", tmp_path / "r.json"
+    save_checkpoint(ckpt, model)
+    assert dispatch(["eval", "--data", str(corpus), "--ckpt", str(ckpt),
+                     "--report", str(report)]) == 0
+    assert f"session {session_id}: no labels, skipped\n" in capsys.readouterr().out
+    scored = load_session(corpus / "session_000")
+    result = json.loads(report.read_text())
+    assert result["skipped"] == [session_id]
+    assert [row["session_id"] for row in result["sessions"]] == [scored.session_id]
+    assert result["mean_ccc"] == ccc(predict_session(model, scored),
+                                     scored.roles["target"].labels)
+
+
+def test_eval_refuses_a_corpus_without_labels(tmp_path, capsys):
+    corpus, session_dir, _ = _toy_corpus(tmp_path)
+    _unlabeled(session_dir)
+    _unlabeled(corpus / "session_000")
+    assert dispatch(["eval", "--data", str(corpus), "--ckpt", "oracle",
+                     "--preset", "desk"]) == 2
+    out, err = capsys.readouterr()
+    assert f"error[data]: --data {corpus}: no session carries target labels" in err
+    assert "mean ccc" not in out
+
+
+def test_train_refuses_a_validation_session_without_labels(tmp_path, capsys):
+    corpus, session_dir, session_id = _toy_corpus(tmp_path)
+    _unlabeled(session_dir)
+    assert dispatch(["train", "--data", str(corpus / "session_000"),
+                     "--val", str(session_dir)] + fast_flags(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert f"error[data]: session '{session_id}' has no target labels" in err
     assert "epoch 0" not in out
 
 

@@ -177,8 +177,7 @@ def test_evaluate_sessions_constant_predictor():
 def test_evaluate_sessions_skips_unlabeled():
     sessions = _sessions(2)
     sessions[1].roles["target"].labels = None
-    with pytest.warns(RuntimeWarning):
-        report = evaluate_sessions(LabelEchoPredictor(16, 8), sessions)
+    report = evaluate_sessions(LabelEchoPredictor(16, 8), sessions)
     assert len(report.sessions) == 1
     assert report.skipped == [sessions[1].session_id]
 

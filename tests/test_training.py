@@ -217,10 +217,11 @@ def test_train_aborts_on_divergence():
 
 
 class ConstantModel(Module):
-    """Predicts one trainable level at every frame, whatever the input."""
+    """Predicts one trainable level at every frame, whatever the input, so
+    it reads no role's streams."""
 
     core_len, context_len = 8, 4
-    roles = ("target",)
+    roles = ()
 
     def __init__(self, level: float):
         self.level = Tensor(np.array([level]), requires_grad=True)
@@ -275,11 +276,23 @@ def test_train_checks_stream_dims_before_the_first_step(monkeypatch, where):
     odd = synth_session(SynthConfig(sessions=1, num_frames=60, seed=0,
                                     feature_dims={**TOY_FEATURE_DIMS, "clip": 7}), 2)
     train_sessions, val = (sessions + [odd], None) if where == "train" else (sessions, [odd])
-    with pytest.raises(ValueError, match=rf"session '{odd.session_id}' has stream dims "
-                                         rf".*'clip': 7.*training session "
-                                         rf"'{sessions[0].session_id}' has .*'clip': 6"):
+    with pytest.raises(ValueError, match=rf"session '{odd.session_id}': target stream "
+                                         rf"'clip' has dim 7, config expects 6"):
         train(model, train_sessions, val, desk_train_cfg(), quiet=True)
     assert calls == []
+
+def test_train_checks_the_corpus_against_the_model_dims(monkeypatch):
+    # The corpus agrees with itself; the model's config does not.
+    model = EngagementModel(toy_config(core_len=8, context_len=4,
+                                       feature_dims={**TOY_FEATURE_DIMS, "clip": 7}), seed=5)
+    calls = []
+    monkeypatch.setattr(model, "forward", lambda *args, **kwargs: calls.append(kwargs))
+    sessions = tiny_sessions(2)
+    with pytest.raises(ValueError, match=rf"session '{sessions[0].session_id}': target "
+                                         rf"stream 'clip' has dim 6, config expects 7"):
+        train(model, sessions, None, desk_train_cfg(), quiet=True)
+    assert calls == []
+
 
 def test_cosine_schedule_hands_adam_a_python_float(monkeypatch):
     seen = []
