@@ -114,9 +114,10 @@ class MultiHeadAttention(Module):
     ``T.attention`` node splits the heads, scales by 1/sqrt(d_k) with
     d_k = dim / heads, applies the softmax and merges the head outputs,
     which pass through the output projection (with dropout in train mode).
-    Cross attention is the q_in != kv_in case. With ``keep_weights`` a copy
-    of the attention weights is stored in ``last_weights``, shaped
-    ``[B, heads, Lq, Lk]`` (``[1, heads, Lq, Lk]`` for 2-d input).
+    Cross attention is the q_in != kv_in case. With ``keep_weights``,
+    ``T.attention`` also forms the attention weights, and they are stored in
+    ``last_weights``, shaped ``[B, heads, Lq, Lk]`` (``[1, heads, Lq, Lk]``
+    for 2-d input).
     """
 
     def __init__(self, dim: int, heads: int, dropout_rate: float, rng: np.random.Generator):
@@ -139,9 +140,10 @@ class MultiHeadAttention(Module):
         if squeeze:
             q_in = T.reshape(q_in, (1,) + q_in.shape)
             kv_in = T.reshape(kv_in, (1,) + kv_in.shape)
-        ctx, weights = T.attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in), self.heads)
+        ctx, weights = T.attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in), self.heads,
+                                   weights=keep_weights)
         if keep_weights:
-            self.last_weights = weights.copy()
+            self.last_weights = weights
         out = dropout(self.wo(ctx), self.dropout_rate, train, rng)
         if squeeze:
             out = T.reshape(out, out.shape[1:])

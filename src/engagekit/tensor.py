@@ -21,7 +21,9 @@ reads is freed as soon as the forward drops it. Per op, it keeps:
 - ``linear``: the flattened input if the weight needs a gradient, the weight if the input does;
 - ``mul``: each operand only if the other one needs a gradient;
 - ``div``: the divisor, and the dividend if the divisor needs a gradient;
-- ``attention``: the scaled queries, the key and value views, and ``P``;
+- ``attention``: the scaled queries, the key and value views, the
+  unnormalized exponentials ``E`` and their reciprocal row sums ``r``;
+  it also reads its own output, which the output projection keeps;
 - ``layer_norm``: x̂, 1/σ and gamma;
 - ``gelu``: its input and ``h``;
 - ``dropout``: the boolean keep mask (one byte per unit) and the scale;
@@ -42,6 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_LOG2E = 1.0 / math.log(2.0)
 
 
 class ShapeError(ValueError):
@@ -232,19 +235,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record((sx, sw, sb), out2.reshape(x_shape[:-1] + (n_out,)), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              weights: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """Multi-head scaled dot-product attention as one node.
 
     ``q`` is ``[B, Lq, D]`` and ``k``, ``v`` are ``[B, Lk, D]``, each holding
     ``heads`` heads of width ``d_k = D / heads`` side by side. Per head,
     ``P = softmax(q k^T / sqrt(d_k))`` and the context is ``P v``; the heads
-    are merged back into ``[B, Lq, D]``. The 1/sqrt(d_k) is folded into the
-    L x d_k query rather than the L x L scores, and the backward keeps only
-    ``P`` of the L x L intermediates. ``P`` for every (window, head) is
-    stored as one ``[Lk, B * heads * Lq]`` array, keys down the rows, so the
-    softmax runs over long contiguous rows. Returns the context and ``P`` as
-    a ``[B, heads, Lq, Lk]`` view of that array, which the backward shares:
-    do not modify it.
+    are merged back into ``[B, Lq, D]``.
+
+    The 1/sqrt(d_k) and the log2(e) of ``exp(x) = exp2(x log2 e)`` are folded
+    into the L x d_k query rather than the L x L scores. The unnormalized
+    exponentials ``E`` for every (window, head) are one zero-padded
+    ``[Lk, B * heads * Lq]`` array, keys down the rows, so the max and the
+    sum run over long contiguous rows. The reciprocal row sums ``r`` scale
+    the small context ``E v`` instead of dividing ``E``, so no pass over
+    ``E`` follows the exponential. The backward keeps ``E`` and ``r`` and
+    reads the op's own output, which the output projection keeps anyway.
+    Returns the context and, only when ``weights`` is true, a fresh
+    ``[B, heads, Lq, Lk]`` array of ``P`` (else ``None``).
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError(f"attention: need 3-d q, k, v, got {q.shape}, {k.shape}, {v.shape}")
@@ -263,38 +272,60 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     def merge(a: np.ndarray, length: int) -> np.ndarray:
         return a.transpose(0, 2, 1, 3).reshape(b, length, d)
 
-    qs = np.multiply(split(q.data, lq), s, order="C")
+    qs = np.multiply(split(q.data, lq), s * _LOG2E, order="C")
     kh = split(k.data, lk)      # strided views: BLAS reads them as they are
     vh = split(v.data, lk)
-    # P is held transposed and flattened, keys down the rows: numpy reduces
-    # over a leading axis one whole contiguous row per step, several times
-    # faster than over a short last axis. ``pt`` is its [B, heads, Lk, Lq] view.
-    p2 = np.empty((lk, b * heads * lq), dtype=np.result_type(qs, kh))
-    pt = p2.reshape(lk, b, heads, lq).transpose(1, 2, 0, 3)
-    np.matmul(kh, qs.swapaxes(-1, -2), out=pt)
-    p2 -= p2.max(axis=0)
-    np.exp(p2, out=p2)
-    p2 /= p2.sum(axis=0)
-    out_data = merge(pt.swapaxes(-1, -2) @ vh, lq)
+    n = b * heads * lq
+    dtype = np.result_type(qs, kh)
+    line = 64 // dtype.itemsize
+    width = (-(-n // line) | 1) * line
+
+    def keys_by_rows() -> tuple[np.ndarray, np.ndarray]:
+        # An [Lk, width] array and its [B, heads, Lk, Lq] view: numpy reduces
+        # over a leading axis one whole contiguous row per step, several times
+        # faster than over a short last axis. A row spans an odd number of
+        # 64-byte lines: with a power-of-two row stride the rows of a gemm's
+        # output tile share cache sets, and the desk scores gemm took 1.5x.
+        a = np.empty((lk, width), dtype)
+        a[:, n:] = 0
+        return a, a[:, :n].reshape(lk, b, heads, lq).transpose(1, 2, 0, 3)
+
+    e2, et = keys_by_rows()
+    np.matmul(kh, qs.swapaxes(-1, -2), out=et)
+    e2 -= e2.max(axis=0)
+    np.exp2(e2, out=e2)
+    r = e2.sum(axis=0)
+    np.reciprocal(r, out=r)
+    r4 = r[:n].reshape(b, heads, lq, 1)
+    ctx = et.swapaxes(-1, -2) @ vh
+    ctx *= r4
+    out_data = merge(ctx, lq)
+    p = (e2[:, :n] * r[:n]).reshape(lk, b, heads, lq).transpose(1, 2, 3, 0) if weights else None
     sq, sk, sv = _slot_of(q), _slot_of(k), _slot_of(v)
 
     def backward(g: np.ndarray) -> None:
-        gh = split(g, lq)
+        # With P = E diag(r) per row and g' = r g: dV = E^T g', and the
+        # softmax gradient P (dP - rowsum(dP P)) = E (dP' - D') with
+        # dP' = g' V^T and D' = rowsum(g' O), since rowsum(dP P) = rowsum(g O).
+        gh = np.multiply(split(g, lq), r4, order="C")
         if sv is not None:
-            _accumulate(sv, merge(pt @ gh, lk))
-        d2 = np.empty_like(p2)
-        dst = d2.reshape(lk, b, heads, lq).transpose(1, 2, 0, 3)
+            _accumulate(sv, merge(et @ gh, lk))
+        d2, dst = keys_by_rows()
         np.matmul(vh, gh.swapaxes(-1, -2), out=dst)
-        d2 -= np.einsum("kn,kn->n", d2, p2)
-        d2 *= p2
+        dd = np.zeros(width, dtype)
+        np.einsum("bhqd,bhqd->bhq", gh, split(out_data, lq), out=dd[:n].reshape(b, heads, lq))
+        d2 -= dd
+        d2 *= e2
         if sq is not None:
             dq = dst.swapaxes(-1, -2) @ kh
             dq *= s
             _accumulate(sq, merge(dq, lq))
         if sk is not None:
-            _accumulate(sk, merge(dst @ qs, lk))
+            dk = dst @ qs
+            dk *= 1.0 / _LOG2E
+            _accumulate(sk, merge(dk, lk))
 
-    return _record((sq, sk, sv), out_data, backward), pt.swapaxes(-1, -2)
+    return _record((sq, sk, sv), out_data, backward), p
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -425,15 +456,29 @@ def dropout(a: Tensor, keep: np.ndarray, scale: np.floating) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Row means, in the forward and for the backward's mean of dx̂, are one
+    gemv of the ``[rows, d]`` array against a ``1/d`` column, which is
+    faster than ``mean`` over a short last axis; 1/σ is formed in place on
+    the ``[rows, 1]`` variances. The backward keeps x̂, 1/σ and gamma.
+    """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = np.einsum("...i,...i->...", xhat, xhat)[..., None]
-    var /= d
-    inv_std = 1.0 / np.sqrt(var + eps)
+    x_shape = x.shape
+    col = np.full((d, 1), 1.0 / d, dtype=x.dtype)
+
+    def row_mean(a: np.ndarray) -> np.ndarray:
+        return (a.reshape(-1, d) @ col).reshape(x_shape[:-1] + (1,))
+
+    xhat = x.data - row_mean(x.data)
+    inv_std = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+    inv_std /= d
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.reciprocal(inv_std, out=inv_std)
     xhat *= inv_std
     out_data = xhat * gamma.data
     out_data += beta.data
@@ -448,10 +493,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             _accumulate(sb, g2.sum(axis=0))
         if sx is not None:
             dxhat = g * gamma_data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = np.einsum("...i,...i->...", dxhat, xhat)[..., None]
             m2 /= d
-            dxhat -= m1
+            dxhat -= row_mean(dxhat)
             dxhat -= xhat * m2
             dxhat *= inv_std
             _accumulate(sx, dxhat)

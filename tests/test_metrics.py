@@ -267,9 +267,9 @@ def test_predict_session_cuts_rows_only_in_the_last_layers(monkeypatch):
     calls = []
     attention = T.attention
 
-    def recording(q, k, v, heads):
+    def recording(q, k, v, heads, weights=False):
         calls.append((q.shape[1], k.shape[1]))
-        return attention(q, k, v, heads)
+        return attention(q, k, v, heads, weights)
 
     monkeypatch.setattr(T, "attention", recording)
     depth = 2

@@ -244,9 +244,9 @@ def test_desk_training_forward_tape_node_count(rng):
 def test_desk_training_forward_retains_only_what_backward_reads(rng):
     # Bytes allocated by a 4-window train-mode forward that are still held
     # when it returns: the output plus what the tape keeps for backward. It
-    # read 26.7 MB with numpy 2.4 on x86-64 (39.0 MB while every backward
+    # read 26.9 MB with numpy 2.4 on x86-64 (39.0 MB while every backward
     # kept its input tensors and dropout kept float32 masks); the bound adds
-    # 5%. The float32 inputs are made before tracing starts.
+    # 4%. The float32 inputs are made before tracing starts.
     model_cfg, _ = resolve_configs("desk", None, {})
     model = EngagementModel(model_cfg, seed=0)
     target, partner = ({s: a.astype(np.float32) for s, a in
@@ -503,7 +503,8 @@ def test_checkpoint_interrupted_save_keeps_old_file(tmp_path, monkeypatch):
             return self.f.write(data)
 
     monkeypatch.setattr(engagekit.model, "open",
-                        lambda file, mode: FailAfterHeader(open(file, mode)), raising=False)
+                        lambda file, mode, **kw: FailAfterHeader(open(file, mode, **kw)),
+                        raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, EngagementModel(toy_config(), seed=17))
     monkeypatch.undo()

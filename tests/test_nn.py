@@ -79,6 +79,24 @@ def test_attention_weight_rows_sum_to_one():
     assert np.max(np.abs(sums - 1.0)) < 1e-12
 
 
+def test_attention_keeps_weights_only_on_request(monkeypatch):
+    asked = []
+    attention = T.attention
+
+    def recording(q, k, v, heads, weights=False):
+        asked.append(weights)
+        return attention(q, k, v, heads, weights)
+
+    monkeypatch.setattr(T, "attention", recording)
+    rng = np.random.default_rng(1)
+    mha = MultiHeadAttention(16, 4, 0.0, rng=np.random.default_rng(2))
+    q, kv = T.constant(rng.standard_normal((6, 16))), T.constant(rng.standard_normal((9, 16)))
+    mha(q, kv)
+    assert asked == [False] and mha.last_weights is None
+    mha(q, kv, keep_weights=True)
+    assert asked == [False, True] and mha.last_weights.shape == (1, 4, 6, 9)
+
+
 def test_attention_output_is_convex_combination_of_values():
     # With value/output projections pinned to identity, each output lies in
     # the per-column [min, max] envelope of the value rows.

@@ -72,7 +72,7 @@ def test_attention_matches_composed_chain():
     k = t(rng.standard_normal((2, 5, 8)))
     v = t(rng.standard_normal((2, 5, 8)))
     c = rng.standard_normal((2, 3, 8))
-    out, weights = T.attention(q, k, v, 2)
+    out, weights = T.attention(q, k, v, 2, weights=True)
     backward(T.tensor_sum(T.mul(out, T.constant(c))))
     fused = (out.data, weights, q.grad, k.grad, v.grad)
     reference = numpy_attention(q.data, k.data, v.data, 2, c)
@@ -101,6 +101,49 @@ def test_attention_cross_grad_batched():
     err = grad_check(lambda: T.tensor_sum(T.mul(T.attention(q, k, v, 2)[0], c)),
                      [("q", q), ("k", k), ("v", v)], max_coords_per_param=32)
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("d_k", [4, 8, 12])
+def test_attention_float32_at_extreme_logits(d_k):
+    # Queries and keys scaled so the largest |logit| is 80, near float32's
+    # exp overflow at 88.7: many rows are close to one-hot. Errors are
+    # measured against each array's largest value; a logit of 80 carries
+    # up to 80 float32 rounding units, so 80 eps bounds what rounding
+    # alone can cause.
+    heads, b, lq, lk = 8, 3, 16, 24
+    d = heads * d_k
+    rng = np.random.default_rng(d_k)
+    q, k, v, c = (rng.standard_normal(shape) for shape in
+                  ((b, lq, d), (b, lk, d), (b, lk, d), (b, lq, d)))
+    qh = q.reshape(b, lq, heads, d_k).transpose(0, 2, 1, 3)
+    kh = k.reshape(b, lk, heads, d_k).transpose(0, 2, 1, 3)
+    logits = qh @ kh.swapaxes(-1, -2) / math.sqrt(d_k)
+    f = math.sqrt(80.0 / np.abs(logits).max())
+    q32, k32, v32, c32 = (a.astype(np.float32) for a in (q * f, k * f, v, c))
+    qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q32, k32, v32))
+    out, weights = T.attention(qt, kt, vt, heads, weights=True)
+    backward(T.tensor_sum(T.mul(out, T.constant(c32))))
+    got = (out.data, qt.grad, kt.grad, vt.grad)
+    ref_out, _, ref_dq, ref_dk, ref_dv = numpy_attention(
+        *(a.astype(np.float64) for a in (q32, k32, v32)), heads, c32.astype(np.float64))
+    tol = 80 * np.finfo(np.float32).eps
+    for name, a, ref in zip(("out", "dq", "dk", "dv"), got, (ref_out, ref_dq, ref_dk, ref_dv)):
+        assert a.dtype == np.float32, name
+        assert np.all(np.isfinite(a)), name
+        assert np.max(np.abs(a - ref)) <= tol * np.max(np.abs(ref)), name
+    assert weights.dtype == np.float32 and np.all(np.isfinite(weights))
+    assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-5
+
+
+def test_attention_forms_weights_only_on_request():
+    rng = np.random.default_rng(17)
+    q, k, v = (t(rng.standard_normal(shape)) for shape in ((2, 3, 8), (2, 5, 8), (2, 5, 8)))
+    out, weights = T.attention(q, k, v, 2)
+    assert weights is None
+    out_w, weights = T.attention(q, k, v, 2, weights=True)
+    assert np.array_equal(out.data, out_w.data)
+    assert weights.shape == (2, 2, 3, 5)
+    assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-12
 
 
 def test_attention_shape_errors():
