@@ -41,30 +41,17 @@ class Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+# The ModelConfig and TrainConfig defaults are the published setup; a preset
+# names only where it departs from them.
 PRESETS: dict[str, dict] = {
-    # Published experimental setup: window 96 = 32 core + 32 context each
-    # side, d=512, one cross layer, dropout 0.2, Adam 5e-5, batch 128,
-    # 50 epochs; MSE on the continuous-label corpora.
-    "paper-noxi": {
-        "model_dim": 512, "core_len": 32, "context_len": 32, "dropout": 0.2,
-        "cross_layers": 1, "heads": 8,
-        "lr": 5e-5, "batch_size": 128, "epochs": 50, "loss": "mse",
-        "ema_decay": 0.999,
-    },
-    # Same setup with the CCC loss for the 25-class quantized labels.
-    "paper-mpiigi": {
-        "model_dim": 512, "core_len": 32, "context_len": 32, "dropout": 0.2,
-        "cross_layers": 1, "heads": 8,
-        "lr": 5e-5, "batch_size": 128, "epochs": 50, "loss": "ccc",
-        "ema_decay": 0.999,
-    },
+    "paper-noxi": {},
+    # The 25-class quantized labels train on the CCC loss.
+    "paper-mpiigi": {"loss": "ccc"},
     # Desk scale: small width, shorter context, float32, larger lr, short
     # EMA horizon (0.999 cannot converge within a few hundred steps).
     "desk": {
-        "model_dim": 32, "core_len": 32, "context_len": 16, "dropout": 0.1,
-        "cross_layers": 1, "heads": 8, "dtype": "float32",
-        "lr": 1e-3, "batch_size": 16, "epochs": 30, "loss": "mse",
-        "ema_decay": 0.98,
+        "model_dim": 32, "context_len": 16, "dropout": 0.1, "dtype": "float32",
+        "lr": 1e-3, "batch_size": 16, "epochs": 30, "ema_decay": 0.98,
     },
 }
 
@@ -159,14 +146,22 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    overrides = {"seed": args.seed, "epochs": args.epochs, "lr": args.lr,
-                 "batch_size": args.batch_size, "loss": args.loss}
-    model_cfg, train_cfg = resolve_configs(args.preset, args.config, overrides)
+def _prepare_run(args, **flags):
+    """The set-up `train` and `ablate` share: resolve the configs with the
+    shared flags, load the training and validation corpora, take the stream
+    dims from the first training session and print what was resolved."""
+    model_cfg, train_cfg = resolve_configs(args.preset, args.config, {
+        "seed": args.seed, "epochs": args.epochs, "lr": args.lr,
+        "batch_size": args.batch_size, **flags})
     train_sessions = load_sessions(args.data)
     val_sessions = load_sessions(args.val) if args.val else None
     model_cfg = dataclasses.replace(model_cfg, feature_dims=train_sessions[0].feature_dims())
-    print_resolved("train", model_cfg, train_cfg)
+    print_resolved(args.command, model_cfg, train_cfg)
+    return model_cfg, train_cfg, train_sessions, val_sessions
+
+
+def cmd_train(args) -> int:
+    model_cfg, train_cfg, train_sessions, val_sessions = _prepare_run(args, loss=args.loss)
     model = EngagementModel(model_cfg, seed=train_cfg.seed)
     print(f"model: {model.num_parameters():,} parameters")
     result = train(model, train_sessions, val_sessions, train_cfg, out_dir=args.out)
@@ -347,9 +342,7 @@ def run_ablate(model_cfg: ModelConfig, train_cfg: TrainConfig, train_sessions,
         for arm in arms:
             spec = dict(ABLATION_ARMS[arm])
             arch = spec.pop("arch", "dialogue")
-            cfg_kwargs = dataclasses.asdict(model_cfg)
-            cfg_kwargs.update(spec)
-            arm_cfg = ModelConfig(**cfg_kwargs)
+            arm_cfg = dataclasses.replace(model_cfg, **spec)
             arm_train = dataclasses.replace(train_cfg, seed=seed)
             model = MODELS[arch](arm_cfg, seed=seed)
             result = train(model, train_sessions, val_sessions, arm_train, quiet=True)
@@ -380,10 +373,6 @@ def summarize_ablation(rows, arms) -> dict[str, tuple[float, float]]:
 
 
 def cmd_ablate(args) -> int:
-    model_cfg, train_cfg = resolve_configs(args.preset, args.config,
-                                           {"epochs": args.epochs, "lr": args.lr,
-                                            "batch_size": args.batch_size,
-                                            "seed": args.seed})
     arms = tuple(args.arms.split(",")) if args.arms else DEFAULT_ARMS
     unknown = [a for a in arms if a not in ABLATION_ARMS]
     if unknown:
@@ -391,11 +380,8 @@ def cmd_ablate(args) -> int:
                             f"(have: {', '.join(ABLATION_ARMS)})")
     if args.seeds < 1:
         raise CliUsageError(f"--seeds must be >= 1, got {args.seeds}")
+    model_cfg, train_cfg, train_sessions, val_sessions = _prepare_run(args)
     seeds = list(range(train_cfg.seed, train_cfg.seed + args.seeds))
-    train_sessions = load_sessions(args.data)
-    val_sessions = load_sessions(args.val)
-    model_cfg = dataclasses.replace(model_cfg, feature_dims=train_sessions[0].feature_dims())
-    print_resolved("ablate", model_cfg, train_cfg)
     print(f"  arms = {','.join(arms)}")
     print(f"  seeds = {seeds}")
     rows = run_ablate(model_cfg, train_cfg, train_sessions, val_sessions,
@@ -425,16 +411,20 @@ def build_parser() -> Parser:
                         "ranges give train/val splits in one feature space")
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model on a session corpus")
-    p.add_argument("--data", required=True)
+    # The flags `train` and `ablate` share; an unset one leaves the config
+    # file's value (or the preset's) in force.
+    run = Parser(add_help=False)
+    run.add_argument("--data", required=True)
+    run.add_argument("--out", required=True)
+    run.add_argument("--config")
+    run.add_argument("--preset", choices=sorted(PRESETS))
+    run.add_argument("--seed", type=int, help="seed; for ablate the first seed")
+    run.add_argument("--epochs", type=int)
+    run.add_argument("--lr", type=float)
+    run.add_argument("--batch-size", dest="batch_size", type=int)
+
+    p = sub.add_parser("train", parents=[run], help="train a model on a session corpus")
     p.add_argument("--val")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--loss", choices=["mse", "ccc"])
     p.set_defaults(fn=cmd_train)
 
@@ -459,17 +449,9 @@ def build_parser() -> Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="train the ablation arms and compare")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("ablate", parents=[run], help="train the ablation arms and compare")
     p.add_argument("--val", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--seeds", type=int, default=3, help="number of seeds")
-    p.add_argument("--seed", type=int, default=0, help="first seed")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--arms", help=f"comma list from: {', '.join(ABLATION_ARMS)}")
     p.set_defaults(fn=cmd_ablate)
     return parser

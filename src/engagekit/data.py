@@ -60,6 +60,13 @@ class DataFormatError(ValueError):
     """A file or directory does not satisfy the session storage contract."""
 
 
+def _is_role_name(role) -> bool:
+    """A role names a subdirectory of its session: a plain name, not '', '.'
+    or '..', with no path separator (so no absolute path either)."""
+    return (isinstance(role, str) and role not in ("", ".", "..")
+            and "/" not in role and "\\" not in role)
+
+
 def write_matrix(path, matrix) -> None:
     m = np.asarray(matrix)
     if m.ndim != 2:
@@ -136,6 +143,9 @@ class SessionRecord:
             raise DataFormatError(f"session '{self.session_id}' has no target role")
         dims = None
         for role, data in self.roles.items():
+            if not _is_role_name(role):
+                raise DataFormatError(f"session '{self.session_id}' role {role!r} is not "
+                                      f"a plain directory name")
             missing = [s for s in STREAMS if s not in data.streams]
             if missing:
                 raise DataFormatError(f"session '{self.session_id}' role '{role}' is "
@@ -183,18 +193,21 @@ def save_session(directory, record: SessionRecord) -> None:
         role_dir.mkdir(exist_ok=True)
         for name, arr in data.streams.items():
             write_matrix(role_dir / f"{name}.datf", arr)
+        labels_path = role_dir / f"{LABELS_FILE}.datf"
         if data.labels is not None:
-            write_matrix(role_dir / f"{LABELS_FILE}.datf",
-                         np.asarray(data.labels).reshape(-1, 1))
+            write_matrix(labels_path, np.asarray(data.labels).reshape(-1, 1))
+        else:  # a labels file left by an earlier save would be read back
+            labels_path.unlink(missing_ok=True)
 
 
 def load_session(directory) -> SessionRecord:
     """Read one session directory. The manifest is not trusted: it must be a
     JSON object with the integer ``schema_version`` 1, a string ``session_id``,
     an integer ``num_frames``, ``feature_dims`` giving a positive integer for
-    every stream, a ``roles`` list of names that includes ``target`` and, if
-    present, a positive ``frame_rate_hz``. Labels files are optional. Any
-    breach, like any bad stream file, raises DataFormatError naming it."""
+    every stream, a ``roles`` list of plain directory names that includes
+    ``target`` and, if present, a positive ``frame_rate_hz``. Labels files are
+    optional. Any breach, like any bad stream file, raises DataFormatError
+    naming it."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -224,10 +237,13 @@ def load_session(directory) -> SessionRecord:
             and all(type(dims[name]) is int and dims[name] >= 1 for name in STREAMS)):
         raise DataFormatError(f"{directory}: manifest feature_dims must give a positive "
                               f"integer for each of the streams {', '.join(STREAMS)}")
-    if (not isinstance(manifest["roles"], list) or "target" not in manifest["roles"]
-            or not all(isinstance(role, str) for role in manifest["roles"])):
+    if not isinstance(manifest["roles"], list) or "target" not in manifest["roles"]:
         raise DataFormatError(f"{directory}: manifest roles must be a list of names "
                               f"that includes 'target'")
+    for role in manifest["roles"]:
+        if not _is_role_name(role):
+            raise DataFormatError(f"{directory}: manifest role {role!r} is not a plain "
+                                  f"directory name")
     frame_rate = manifest.get("frame_rate_hz", FRAME_RATE_HZ)
     if type(frame_rate) not in (int, float) or not frame_rate > 0:
         raise DataFormatError(f"{directory}: manifest frame_rate_hz must be a positive "

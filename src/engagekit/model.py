@@ -64,7 +64,9 @@ CHECKPOINT_VERSION = 4                      # v4: the v3 layout, config without 
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters; window geometry rides along because the
-    model and the segmenter must agree on it."""
+    model and the segmenter must agree on it. The defaults are the published
+    setup: d=512, window 96 = 32 core + 32 context each side, one cross
+    layer, 8 heads, dropout 0.2."""
 
     model_dim: int = 512                    # unified projection width d
     cross_layers: int = 1                   # partner cross-attention stack depth

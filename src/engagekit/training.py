@@ -31,6 +31,9 @@ class DivergenceError(ArithmeticError):
 
 @dataclass
 class TrainConfig:
+    """Optimization settings. The defaults are the published setup: Adam
+    5e-5, batch 128, 50 epochs, MSE, EMA decay 0.999."""
+
     lr: float = 5e-5
     batch_size: int = 128
     epochs: int = 50
@@ -59,6 +62,10 @@ class TrainConfig:
             raise ValueError(f"loss must be 'mse' or 'ccc', got {self.loss!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if not 0.0 <= self.grad_clip < math.inf:
+            raise ValueError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_interval < 1:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import struct
 import warnings
@@ -98,6 +99,48 @@ def test_paper_presets_carry_published_values():
     assert train_cfg.loss == "mse"
     _, mpiigi = resolve_configs("paper-mpiigi", None, {})
     assert mpiigi.loss == "ccc"
+
+
+PAPER_MODEL = {
+    "model_dim": 512, "cross_layers": 1, "heads": 8, "dropout": 0.2, "core_len": 32,
+    "context_len": 32, "use_group_fusion": True, "use_partner_cross": True,
+    "encoder_depth": 1, "ffn_mult": 4, "dtype": "float64",
+    "feature_dims": {"opensmile": 88, "w2vbert": 1024, "clip": 512, "openface": 714,
+                     "openpose": 139},
+}
+PAPER_TRAIN = {
+    "lr": 5e-5, "batch_size": 128, "epochs": 50, "beta1": 0.9, "beta2": 0.999,
+    "eps": 1e-8, "ema_decay": 0.999, "seed": 0, "loss": "mse", "grad_clip": 0.0,
+    "weight_decay": 0.0, "lr_schedule": "none", "eval_interval": 1,
+}
+DESK_MODEL = {**PAPER_MODEL, "model_dim": 32, "context_len": 16, "dropout": 0.1,
+              "dtype": "float32"}
+DESK_TRAIN = {**PAPER_TRAIN, "lr": 1e-3, "batch_size": 16, "epochs": 30, "ema_decay": 0.98}
+
+
+@pytest.mark.parametrize("preset, overrides, model, train", [
+    pytest.param(None, {}, PAPER_MODEL, PAPER_TRAIN, id="none"),
+    pytest.param("paper-noxi", {}, PAPER_MODEL, PAPER_TRAIN, id="paper-noxi"),
+    pytest.param("paper-mpiigi", {}, PAPER_MODEL, {**PAPER_TRAIN, "loss": "ccc"},
+                 id="paper-mpiigi"),
+    pytest.param("desk", {}, DESK_MODEL, DESK_TRAIN, id="desk"),
+    pytest.param("desk", {"epochs": 3}, DESK_MODEL, {**DESK_TRAIN, "epochs": 3},
+                 id="desk-epochs"),
+    pytest.param("paper-noxi", {"dtype": "float32"}, {**PAPER_MODEL, "dtype": "float32"},
+                 PAPER_TRAIN, id="paper-noxi-float32"),
+])
+def test_presets_resolve_to_pinned_configs(preset, overrides, model, train):
+    for cfg, expected in zip(resolve_configs(preset, None, overrides), (model, train)):
+        got = dataclasses.asdict(cfg)
+        assert got == expected
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+
+
+def test_no_preset_entry_restates_a_default():
+    defaults = {**dataclasses.asdict(ModelConfig()), **dataclasses.asdict(TrainConfig())}
+    for name, entries in cli.PRESETS.items():
+        restated = {k: v for k, v in entries.items() if v == defaults[k]}
+        assert not restated, f"preset {name} restates defaults {restated}"
 
 
 # ---------------------------------------------------------------- exit codes
@@ -223,6 +266,8 @@ def _manifest_without(key: str):
     pytest.param(lambda m: {**m, "session_id": ["a"]}, "session_id", id="session_id_list"),
     pytest.param(lambda m: {**m, "roles": "target"}, "roles", id="roles_not_list"),
     pytest.param(lambda m: {**m, "roles": ["partner"]}, "'target'", id="no_target_role"),
+    pytest.param(lambda m: {**m, "roles": ["target", ".."]}, "role '..' is not a plain",
+                 id="role_outside"),
     pytest.param(lambda m: {**m, "schema_version": True}, "schema_version True",
                  id="schema_version_bool"),
     pytest.param(lambda m: {**m, "schema_version": 1.0}, "schema_version 1.0",
@@ -269,6 +314,18 @@ def test_eval_refuses_a_nan_label(tmp_path, capsys):
     pytest.param("lr = inf", "lr must be positive and finite, got inf", id="lr_inf"),
     pytest.param("eps = nan", "eps must be positive and finite, got nan", id="eps_nan"),
     pytest.param("eps = inf", "eps must be positive and finite, got inf", id="eps_inf"),
+    pytest.param("grad_clip = -1", "grad_clip must be finite and >= 0, got -1.0",
+                 id="grad_clip_neg"),
+    pytest.param("grad_clip = inf", "grad_clip must be finite and >= 0, got inf",
+                 id="grad_clip_inf"),
+    pytest.param("grad_clip = nan", "grad_clip must be finite and >= 0, got nan",
+                 id="grad_clip_nan"),
+    pytest.param("weight_decay = -1", "weight_decay must be finite and >= 0, got -1.0",
+                 id="weight_decay_neg"),
+    pytest.param("weight_decay = inf", "weight_decay must be finite and >= 0, got inf",
+                 id="weight_decay_inf"),
+    pytest.param("weight_decay = nan", "weight_decay must be finite and >= 0, got nan",
+                 id="weight_decay_nan"),
     pytest.param("heads = 3", "heads (3) must divide model_dim (512)", id="heads_divide"),
     pytest.param("dtype = float16", "dtype must be float64 or float32", id="dtype"),
     pytest.param("cross_layers = 0", "cross_layers and encoder_depth must be >= 1",
@@ -803,3 +860,27 @@ def test_ablate_rejects_unknown_arm(tmp_path, capsys):
     assert dispatch(["ablate", "--data", "x", "--val", "y", "--out", "z",
                      "--arms", "baseline,warp"]) == 1
     assert "unknown ablation arms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, seeds", [([], [5, 6]), (["--seed", "2"], [2, 3])],
+                         ids=["file", "flag"])
+def test_ablate_seed_flag_beats_file_and_unset_leaves_it(tmp_path, capsys, monkeypatch,
+                                                         flag, seeds):
+    train_dir, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed = 5\n")
+    trained = []
+
+    def fake_run_ablate(model_cfg, train_cfg, train_sessions, val_sessions, arms,
+                        seeds, out_dir=None):
+        trained.extend(seeds)
+        return [{"arm": arm, "params": 0, "val_ccc": 0.0, "seed": seed}
+                for seed in seeds for arm in arms]
+
+    monkeypatch.setattr(cli, "run_ablate", fake_run_ablate)
+    assert dispatch(["ablate", "--data", str(train_dir), "--val", str(val_dir),
+                     "--out", str(tmp_path / "ablate"), "--config", str(config),
+                     "--seeds", "2", "--arms", "baseline", *flag]) == 0
+    assert trained == seeds
+    out = capsys.readouterr().out
+    assert f"  seed = {seeds[0]}\n" in out and f"  seeds = {seeds}\n" in out

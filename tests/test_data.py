@@ -1,4 +1,7 @@
 import hashlib
+import json
+import re
+import shutil
 import struct
 
 import numpy as np
@@ -123,6 +126,52 @@ def test_session_rejects_missing_stream_file(tmp_path):
     (tmp_path / "s0" / "partner" / "openface.datf").unlink()
     with pytest.raises(DataFormatError, match="openface"):
         load_session(tmp_path / "s0")
+
+
+# Each form of a role name that is not a plain directory name, with the
+# directory it names relative to the session's parent.
+ROLES_OUTSIDE = {
+    "absolute": (None, "outside"),
+    "separator": ("nested/partner", "s0/nested/partner"),
+    "dot": (".", "s0"),
+    "dotdot": ("..", "."),
+}
+
+
+@pytest.mark.parametrize("form", ROLES_OUTSIDE)
+def test_load_session_refuses_a_role_outside_its_directory(tmp_path, form):
+    role, where = ROLES_OUTSIDE[form]
+    role = str(tmp_path / where) if role is None else role
+    save_session(tmp_path / "s0", synth_session(toy_synth(num_frames=12), 0))
+    # Valid stream files wait where the role points, so only the name is at fault.
+    shutil.copytree(tmp_path / "s0" / "partner", tmp_path / where, dirs_exist_ok=True)
+    manifest_path = tmp_path / "s0" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**manifest, "roles": ["target", role]}))
+    with pytest.raises(DataFormatError, match="is not a plain directory name") as info:
+        load_session(tmp_path / "s0")
+    assert str(tmp_path / "s0") in str(info.value) and repr(role) in str(info.value)
+
+
+@pytest.mark.parametrize("form", ROLES_OUTSIDE)
+def test_save_session_refuses_a_role_outside_its_directory(tmp_path, form):
+    role, where = ROLES_OUTSIDE[form]
+    role = str(tmp_path / where) if role is None else role
+    record = synth_session(toy_synth(num_frames=12), 0)
+    record.roles[role] = record.roles.pop("partner")
+    with pytest.raises(DataFormatError, match=f"role {re.escape(repr(role))} is not a plain"):
+        save_session(tmp_path / "s0", record)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_session_removes_labels_the_record_no_longer_has(tmp_path):
+    record = synth_session(toy_synth(num_frames=12), 0)
+    save_session(tmp_path / "s0", record)
+    for data in record.roles.values():
+        data.labels = None
+    save_session(tmp_path / "s0", record)
+    loaded = load_session(tmp_path / "s0")
+    assert all(data.labels is None for data in loaded.roles.values())
 
 
 def test_load_sessions_directory(tmp_path):
