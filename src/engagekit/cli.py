@@ -1,10 +1,11 @@
 """Command-line entry point: synth, train, eval, predict, gradcheck, ablate.
 
-Configuration is resolved as defaults <- preset <- config file <- flags
-(rightmost wins); `train` and `ablate` then take the stream dims from the
-first training session. Every run prints the resolved configuration and seed
-so it can be reproduced verbatim. Exit codes: 0 success, 1 usage error, 2 data,
-format or file I/O error, 3 numerical failure (divergence, gradcheck breach).
+`train` and `ablate` resolve their configuration as defaults <- preset <-
+config file <- flags (rightmost wins), then take the stream dims from the
+first training session. Every run but the `eval` oracle prints its config
+and seed so it can be reproduced verbatim. Exit codes: 0 success, 1 usage
+error, 2 data, format or file I/O error, 3 numerical failure (divergence,
+gradcheck breach).
 """
 
 from __future__ import annotations
@@ -165,20 +166,21 @@ def cmd_train(args) -> int:
     model = EngagementModel(model_cfg, seed=train_cfg.seed)
     print(f"model: {model.num_parameters():,} parameters")
     result = train(model, train_sessions, val_sessions, train_cfg, out_dir=args.out)
-    print(f"best val_ccc {result.best_val_ccc:.4f} at epoch {result.best_epoch}; "
-          f"checkpoints in {args.out}")
+    if val_sessions is None:
+        print(f"no validation ran (no --val); checkpoint {result.last_path}")
+    else:
+        print(f"best val_ccc {result.best_val_ccc:.4f} at epoch {result.best_epoch}; "
+              f"checkpoints in {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    if args.ckpt == "oracle":  # only the oracle takes its window geometry from flags
-        model_cfg, _ = resolve_configs(args.preset, args.config, {})
-        predictor = LabelEchoPredictor(model_cfg.core_len, model_cfg.context_len)
+    if args.ckpt == "oracle":
+        predictor = LabelEchoPredictor()
     else:
         predictor, _ = load_checkpoint(args.ckpt)
-        model_cfg = predictor.cfg
-    print_resolved("eval", model_cfg)
-    print(f"  ckpt = {args.ckpt}")
+        print_resolved("eval", predictor.cfg)
+        print(f"  ckpt = {args.ckpt}")
     report = evaluate_sessions(predictor, load_sessions(args.data))
     if not report.sessions:
         raise ValueError(f"--data {args.data}: no session carries target labels")
@@ -229,7 +231,7 @@ GRADCHECK_SUITE = (
 )
 
 
-def run_gradcheck_suite(seed: int = 0, verbose: bool = True) -> float:
+def run_gradcheck_suite(seed: int = 0) -> float:
     """Finite-difference check across every differentiable block at toy scale;
     raises GradCheckError on the first tolerance breach."""
     rng = np.random.default_rng(seed)
@@ -306,8 +308,7 @@ def run_gradcheck_suite(seed: int = 0, verbose: bool = True) -> float:
                              [("q_in", q_in), ("kv_in", kv_in)] + mha.named_parameters(),
                              tol=tol, max_coords_per_param=4)
         worst = max(worst, err)
-        if verbose:
-            print(f"gradcheck {name:15s} max_rel_err {err:.3e}  (tol {tol:.0e})  ok")
+        print(f"gradcheck {name:15s} max_rel_err {err:.3e}  (tol {tol:.0e})  ok")
     return worst
 
 
@@ -373,11 +374,13 @@ def summarize_ablation(rows, arms) -> dict[str, tuple[float, float]]:
 
 
 def cmd_ablate(args) -> int:
-    arms = tuple(args.arms.split(",")) if args.arms else DEFAULT_ARMS
+    arms = DEFAULT_ARMS if args.arms is None else tuple(args.arms.split(","))
     unknown = [a for a in arms if a not in ABLATION_ARMS]
     if unknown:
         raise CliUsageError(f"unknown ablation arms {unknown} "
                             f"(have: {', '.join(ABLATION_ARMS)})")
+    if len(set(arms)) < len(arms):
+        raise CliUsageError(f"--arms names an arm twice: {args.arms}")
     if args.seeds < 1:
         raise CliUsageError(f"--seeds must be >= 1, got {args.seeds}")
     model_cfg, train_cfg, train_sessions, val_sessions = _prepare_run(args)
@@ -434,9 +437,6 @@ def build_parser() -> Parser:
                    help="checkpoint file, or 'oracle' for the label-echo self-test")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--report-csv", dest="report_csv", help="write the CSV report here")
-    p.add_argument("--config", help="window geometry for --ckpt oracle; a checkpoint "
-                                    "carries its own config")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="as --config")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict", help="per-frame predictions for one session")

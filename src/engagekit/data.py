@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import struct
+import tempfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -138,14 +140,39 @@ class SessionRecord:
                                           f"'{role}/{name}' is not finite at frame "
                                           f"{int(bad[0])}")
 
-    def validate(self) -> None:
+    def check_manifest(self) -> None:
+        """Raise DataFormatError unless the fields a manifest stores are ones
+        ``load_session`` accepts: a string ``session_id``, an integer
+        ``num_frames`` >= 0, a positive finite ``frame_rate_hz`` (JSON has no
+        infinity), and roles that include ``target`` and are plain directory
+        names. ``validate`` runs this first; ``load_session`` also runs it
+        before it opens a role."""
+        name, n, rate = self.session_id, self.num_frames, self.frame_rate_hz
+        if not isinstance(name, str):
+            raise DataFormatError(f"session_id must be a string, got {name!r}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise DataFormatError(f"session '{name}' num_frames must be a non-negative "
+                                  f"integer, got {n!r}")
+        if (not isinstance(rate, (int, float)) or isinstance(rate, bool)
+                or not 0 < rate < math.inf):
+            raise DataFormatError(f"session '{name}' frame_rate_hz must be a positive "
+                                  f"finite number, got {rate!r}")
         if "target" not in self.roles:
-            raise DataFormatError(f"session '{self.session_id}' has no target role")
+            raise DataFormatError(f"session '{name}' has no role 'target'")
+        for role in self.roles:
+            if not _is_role_name(role):
+                raise DataFormatError(f"session '{name}' role {role!r} is not a plain "
+                                      f"directory name")
+
+    def validate(self) -> None:
+        """Raise DataFormatError for a record that storage refuses: a bad
+        manifest field (``check_manifest``), a missing stream, a stream
+        without ``num_frames`` rows or with no column, stream dims that
+        differ between roles, or labels that are not ``num_frames`` values
+        in [0, 1]."""
+        self.check_manifest()
         dims = None
         for role, data in self.roles.items():
-            if not _is_role_name(role):
-                raise DataFormatError(f"session '{self.session_id}' role {role!r} is not "
-                                      f"a plain directory name")
             missing = [s for s in STREAMS if s not in data.streams]
             if missing:
                 raise DataFormatError(f"session '{self.session_id}' role '{role}' is "
@@ -155,6 +182,9 @@ class SessionRecord:
                     raise DataFormatError(
                         f"session '{self.session_id}' stream '{role}/{name}' has "
                         f"{arr.shape[0]} rows, expected {self.num_frames}")
+                if arr.shape[1] < 1:
+                    raise DataFormatError(f"session '{self.session_id}' stream "
+                                          f"'{role}/{name}' has no column")
             role_dims = {name: arr.shape[1] for name, arr in data.streams.items()}
             if dims is None:
                 dims = role_dims
@@ -175,39 +205,58 @@ class SessionRecord:
 
 
 def save_session(directory, record: SessionRecord) -> None:
+    """Write ``record`` as a session directory that ``load_session`` reads
+    back. A record that ``validate`` refuses writes nothing. The files are
+    written one stream at a time into a staging directory inside
+    ``directory`` and moved into place only once all of them were written,
+    so a failed save (a non-finite value, a full disk) leaves an existing
+    session as it was, and a new one is not created."""
     record.validate()
     directory = Path(directory)
+    created = not directory.exists()
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "session_id": record.session_id,
-        "frame_rate_hz": record.frame_rate_hz,
-        "num_frames": record.num_frames,
-        "feature_dims": record.feature_dims(),
-        "roles": sorted(record.roles),
-    }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    for role, data in record.roles.items():
-        role_dir = directory / role
-        role_dir.mkdir(exist_ok=True)
-        for name, arr in data.streams.items():
-            write_matrix(role_dir / f"{name}.datf", arr)
-        labels_path = role_dir / f"{LABELS_FILE}.datf"
-        if data.labels is not None:
-            write_matrix(labels_path, np.asarray(data.labels).reshape(-1, 1))
-        else:  # a labels file left by an earlier save would be read back
-            labels_path.unlink(missing_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".saving-", dir=directory))
+    try:
+        for role, data in record.roles.items():
+            (staging / role).mkdir()
+            for name, arr in data.streams.items():
+                write_matrix(staging / role / f"{name}.datf", arr)
+            if data.labels is not None:
+                write_matrix(staging / role / f"{LABELS_FILE}.datf",
+                             np.asarray(data.labels).reshape(-1, 1))
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "session_id": record.session_id,
+            "frame_rate_hz": record.frame_rate_hz,
+            "num_frames": record.num_frames,
+            "feature_dims": record.feature_dims(),
+            "roles": sorted(record.roles),
+        }
+        with open(staging / "manifest.json", "w", encoding="utf-8") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+        for role, data in record.roles.items():
+            (directory / role).mkdir(exist_ok=True)
+            for path in (staging / role).iterdir():
+                os.replace(path, directory / role / path.name)
+            if data.labels is None:  # a labels file left by an earlier save would be read back
+                (directory / role / f"{LABELS_FILE}.datf").unlink(missing_ok=True)
+        os.replace(staging / "manifest.json", directory / "manifest.json")
+    except BaseException:
+        if created:
+            shutil.rmtree(directory, ignore_errors=True)
+        raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def load_session(directory) -> SessionRecord:
     """Read one session directory. The manifest is not trusted: it must be a
-    JSON object with the integer ``schema_version`` 1, a string ``session_id``,
-    an integer ``num_frames``, ``feature_dims`` giving a positive integer for
-    every stream, a ``roles`` list of plain directory names that includes
-    ``target`` and, if present, a positive ``frame_rate_hz``. Labels files are
-    optional. Any breach, like any bad stream file, raises DataFormatError
-    naming it."""
+    JSON object with the integer ``schema_version`` 1, ``feature_dims``
+    giving a positive integer for every stream, a ``roles`` list of names,
+    a ``session_id`` and ``num_frames``, and fields that
+    ``SessionRecord.check_manifest`` accepts (``frame_rate_hz`` may be left
+    out). Labels files are optional. Any breach, like any bad stream file,
+    raises DataFormatError naming it."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -226,30 +275,22 @@ def load_session(directory) -> SessionRecord:
                if key not in manifest]
     if missing:
         raise DataFormatError(f"{directory}: manifest.json lacks {', '.join(missing)}")
-    if not isinstance(manifest["session_id"], str):
-        raise DataFormatError(f"{directory}: manifest session_id must be a string, "
-                              f"got {manifest['session_id']!r}")
-    num_frames, dims = manifest["num_frames"], manifest["feature_dims"]
-    if type(num_frames) is not int or num_frames < 0:  # JSON true is an int to isinstance
-        raise DataFormatError(f"{directory}: manifest num_frames must be a non-negative "
-                              f"integer, got {num_frames!r}")
+    dims, role_names = manifest["feature_dims"], manifest["roles"]
     if not (isinstance(dims, dict) and set(STREAMS) <= dims.keys()
             and all(type(dims[name]) is int and dims[name] >= 1 for name in STREAMS)):
         raise DataFormatError(f"{directory}: manifest feature_dims must give a positive "
                               f"integer for each of the streams {', '.join(STREAMS)}")
-    if not isinstance(manifest["roles"], list) or "target" not in manifest["roles"]:
-        raise DataFormatError(f"{directory}: manifest roles must be a list of names "
-                              f"that includes 'target'")
-    for role in manifest["roles"]:
-        if not _is_role_name(role):
-            raise DataFormatError(f"{directory}: manifest role {role!r} is not a plain "
-                                  f"directory name")
-    frame_rate = manifest.get("frame_rate_hz", FRAME_RATE_HZ)
-    if type(frame_rate) not in (int, float) or not frame_rate > 0:
-        raise DataFormatError(f"{directory}: manifest frame_rate_hz must be a positive "
-                              f"number, got {frame_rate!r}")
+    if not (isinstance(role_names, list) and all(isinstance(r, str) for r in role_names)):
+        raise DataFormatError(f"{directory}: manifest roles must be a list of names")
+    header = SessionRecord(session_id=manifest["session_id"], num_frames=manifest["num_frames"],
+                           roles=dict.fromkeys(role_names),
+                           frame_rate_hz=manifest.get("frame_rate_hz", FRAME_RATE_HZ))
+    try:
+        header.check_manifest()
+    except DataFormatError as exc:
+        raise DataFormatError(f"{directory}: {exc}") from None
     roles = {}
-    for role in manifest["roles"]:
+    for role in header.roles:
         role_dir = directory / role
         streams = {}
         for name in STREAMS:
@@ -270,12 +311,8 @@ def load_session(directory) -> SessionRecord:
                                       f"has {labels.shape[1]} columns, expected 1")
             labels = labels[:, 0]
         roles[role] = RoleData(streams=streams, labels=labels)
-    record = SessionRecord(
-        session_id=manifest["session_id"],
-        num_frames=num_frames,
-        roles=roles,
-        frame_rate_hz=float(frame_rate),
-    )
+    record = SessionRecord(session_id=header.session_id, num_frames=header.num_frames,
+                           roles=roles, frame_rate_hz=float(header.frame_rate_hz))
     record.validate()
     return record
 

@@ -138,19 +138,19 @@ class EvalReport:
 class LabelEchoPredictor:
     """Oracle predictor whose windows are the target's label cores and whose
     ``forward`` returns them; it runs the session path's batching and
-    stitching end to end (perfect plumbing gives CCC = 1). It reads no stream."""
+    stitching end to end (perfect plumbing gives CCC = 1 under any tiling).
+    It reads no stream, so ``context_len`` changes nothing."""
 
     roles = ()
 
     def __init__(self, core_len: int = 32, context_len: int = 32):
         self.core_len = core_len
-        self.context_len = context_len
 
     def project_session(self, session):
         n = -(-session.num_frames // self.core_len)
         cores = np.take(session.roles["target"].labels, np.arange(n * self.core_len),
                         mode="clip").reshape(n, self.core_len, 1)
-        return lambda lo, hi: (T.constant(cores[lo:hi]), None)
+        return n, lambda lo, hi: (T.constant(cores[lo:hi]), None)
 
     def forward(self, target, partner=None, train=False):
         return target
@@ -178,24 +178,23 @@ def check_session(model, session, scored: bool = False) -> None:
 
 
 def predict_session(model, session) -> np.ndarray:
-    """Score a session's T frames: cut it into n = ceil(T / core) windows,
-    run the model over batches of WINDOWS_PER_BATCH windows, stitch the
-    window cores back together, clamp to the label range.
+    """Score a session's T frames: run the model over its n windows in
+    batches of WINDOWS_PER_BATCH, stitch the n window cores, clamp to the
+    label range.
 
-    A predictor has ``core_len``, ``roles`` (the session roles whose streams
-    it reads, with their dims in ``cfg``), ``project_session(session)``,
-    which returns a ``windows(lo, hi)`` cutter of windows lo..hi-1 as
-    (target, partner) inputs, and ``forward(target, partner, train=False)``,
-    which returns their ``[hi - lo, core, 1]`` core predictions. Both run under
+    A predictor has ``roles`` (the session roles whose streams it reads, with
+    their dims in ``cfg``), ``project_session(session)``, which returns n and
+    a ``windows(lo, hi)`` cutter of windows lo..hi-1 as (target, partner)
+    inputs, and ``forward(target, partner, train=False)``, which returns
+    their ``[hi - lo, core, 1]`` core predictions. Both run under
     ``no_grad``. The session needs no labels. Raises ValueError naming the
     session (``check_session``, run first). If a batch's output is not
     finite, raises DataFormatError naming the first non-finite stream value,
     or else NonFiniteError naming the session (damaged weights, say)."""
     check_session(model, session)
-    num_windows = -(-session.num_frames // model.core_len)
     cores: list[np.ndarray] = []
     with T.no_grad():
-        windows = model.project_session(session)
+        num_windows, windows = model.project_session(session)
         for lo in range(0, num_windows, WINDOWS_PER_BATCH):
             hi = min(lo + WINDOWS_PER_BATCH, num_windows)
             out = model.forward(*windows(lo, hi), train=False).data[..., 0]

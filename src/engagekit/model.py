@@ -18,12 +18,12 @@ before any layer runs, then runs the architecture's own feature path to the
 fused 5d features, applies the prediction head and clamps to [0, 1] in eval
 mode. ``MODELS`` maps a checkpoint's arch name to its class.
 
-Session scoring has its own path: ``project_session`` returns a
-``windows(lo, hi)`` cutter whose batches ``metrics.predict_session`` feeds to
-``forward``. A stream's input projection is frame-local, so each role's
-streams are projected once over the session's edge-padded timeline and every
-window is a view of it, where training gathers raw windows and projects them
-(the weight gradient needs the raw rows). Stitching keeps only each window's
+Session scoring has its own path: ``project_session`` returns the window
+count and a ``windows(lo, hi)`` cutter whose batches ``metrics.predict_session``
+feeds to ``forward``. A stream's input projection is frame-local, so each
+role's streams are projected once over the session's edge-padded timeline and
+every window is a view of it, where training gathers raw windows and projects
+them (the weight gradient needs the raw rows). Stitching keeps only each window's
 core rows, which ``forward`` derives from its config (the ``core_len`` rows
 after ``context_len``), so the last layer of each stack that is next read
 row by row computes only those rows (``TransformerEncoderLayer`` and
@@ -359,13 +359,12 @@ class _Architecture(Module):
 
     def project_session(self, session):
         """Project each role's streams once per frame over the edge-padded
-        timeline of frames [-context, n * core + context) of the session's n
-        windows; the gemm always has at least L rows. Window k is timeline
-        rows [k * core, k * core + L), so the returned ``windows(lo, hi)``
-        cuts windows lo..hi-1 as (target, partner) ``ProjectedWindows`` views
-        of those rows, with no gather; the partner is ``None`` if the model
-        does not read it. The stream dims are not checked here:
-        ``metrics.check_session`` checks them before a session is scored."""
+        timeline of frames [-context, n * core + context) of the session's
+        n = ceil(T / core) windows; the gemm always has at least L rows. Returns
+        n and ``windows(lo, hi)``, which cuts windows lo..hi-1 (window k is rows
+        [k * core, k * core + L)) as (target, partner) ``ProjectedWindows``
+        views, with no gather; the partner is ``None`` if the model does not
+        read it. ``metrics.check_session`` checks the stream dims first."""
         cfg = self.cfg
         num_windows = -(-session.num_frames // cfg.core_len)
         frames = np.arange(-cfg.context_len, num_windows * cfg.core_len + cfg.context_len)
@@ -387,7 +386,7 @@ class _Architecture(Module):
                    for role, role_views in views.items()}
             return cut["target"], cut.get("partner")
 
-        return windows
+        return num_windows, windows
 
     def predict_windows(self, batch) -> np.ndarray:
         """Eval-mode forward over a WindowBatch; returns clamped [B, L]."""

@@ -261,6 +261,8 @@ def _manifest_without(key: str):
                  "feature_dims", id="stream_dim_bool"),
     pytest.param(lambda m: {**m, "frame_rate_hz": True}, "frame_rate_hz",
                  id="frame_rate_bool"),
+    pytest.param(lambda m: {**m, "frame_rate_hz": float("inf")}, "frame_rate_hz",
+                 id="frame_rate_infinity"),
     pytest.param(lambda m: {**m, "session_id": None}, "session_id", id="session_id_null"),
     pytest.param(lambda m: {**m, "session_id": 7}, "session_id", id="session_id_int"),
     pytest.param(lambda m: {**m, "session_id": ["a"]}, "session_id", id="session_id_list"),
@@ -293,7 +295,7 @@ def test_eval_refuses_a_nan_label(tmp_path, capsys):
     with open(session_dir / "target" / "labels.datf", "r+b") as f:
         f.seek(16 + 5 * 4)                  # frame 5 of the one-column matrix
         f.write(struct.pack("<f", np.nan))
-    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", "oracle", "--preset", "desk"])
+    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", "oracle"])
     assert code == 2
     out, err = capsys.readouterr()
     session_id = json.loads((session_dir / "manifest.json").read_text())["session_id"]
@@ -370,7 +372,7 @@ def test_unwritable_report_path_is_data_error(tmp_path, capsys):
     _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
     report = tmp_path / "missing_dir" / "r.json"
     code = dispatch(["eval", "--data", str(val_dir), "--ckpt", "oracle",
-                     "--preset", "desk", "--report", str(report)])
+                     "--report", str(report)])
     assert code == 2
     err = capsys.readouterr().err
     assert f"error[data]: {report}: " in err and "Traceback" not in err
@@ -492,7 +494,7 @@ def test_eval_names_the_session_without_frames(tmp_path, capsys, predictor):
         role.streams = {name: arr[:0] for name, arr in role.streams.items()}
         role.labels = role.labels[:0] if role.labels is not None else None
     save_session(corpus / "session_empty", empty)
-    flags = ["--ckpt", "oracle", "--preset", "desk"]
+    flags = ["--ckpt", "oracle"]
     if predictor == "model":
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, EngagementModel(toy_config(), seed=0))
@@ -510,7 +512,7 @@ def test_eval_names_the_session_too_short_to_score(tmp_path, capsys):
     short = synth_session(SynthConfig(sessions=1, num_frames=1, seed=4,
                                       feature_dims=dict(TOY_FEATURE_DIMS)), 1)
     save_session(corpus / "session_short", short)
-    flags = ["--ckpt", "oracle", "--preset", "desk"]
+    flags = ["--ckpt", "oracle"]
     assert dispatch(["eval", "--data", str(corpus)] + flags) == 2
     err = capsys.readouterr().err
     assert (f"error[data]: session '{short.session_id}': CCC needs num_frames >= 2, "
@@ -564,6 +566,16 @@ def test_synth_quantize_levels(tmp_path):
 
 # ---------------------------------------------------------------- pipeline
 
+def test_train_without_val_names_the_last_checkpoint(tmp_path, capsys):
+    train_dir, _ = synth_dirs(tmp_path, frames=40, sessions=1)
+    assert dispatch(["train", "--data", str(train_dir)] + fast_flags(tmp_path)) == 0
+    out = capsys.readouterr().out
+    run = tmp_path / "run"
+    assert sorted(p.name for p in run.iterdir()) == ["history.csv", "last.ckpt"]
+    assert out.splitlines()[-1] == f"no validation ran (no --val); checkpoint {run / 'last.ckpt'}"
+    assert "-inf" not in out
+
+
 def test_train_eval_predict_pipeline(tmp_path, capsys):
     train_dir, val_dir = synth_dirs(tmp_path)
     code = dispatch(["train", "--data", str(train_dir), "--val", str(val_dir)]
@@ -606,7 +618,7 @@ def test_eval_prints_the_checkpoint_config(tmp_path, capsys):
     cfg = ModelConfig(model_dim=16, heads=2, core_len=16, context_len=4, dropout=0.0,
                       dtype="float32")
     save_checkpoint(ckpt, EngagementModel(cfg, seed=0))
-    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", str(ckpt), "--preset", "desk"])
+    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", str(ckpt)])
     assert code == 0
     out = capsys.readouterr().out
     assert "model_dim = 16" in out and "dtype = float32" in out
@@ -615,16 +627,23 @@ def test_eval_prints_the_checkpoint_config(tmp_path, capsys):
 
 def test_eval_oracle_scores_perfectly(tmp_path, capsys):
     _, val_dir = synth_dirs(tmp_path)
-    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", "oracle",
-                     "--config", str(_geometry_cfg(tmp_path))])
+    code = dispatch(["eval", "--data", str(val_dir), "--ckpt", "oracle"])
     assert code == 0
-    assert "mean ccc: 1.0000" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "mean ccc: 1.0000" in out
+    assert "config" not in out and "model_dim" not in out   # the oracle has no model
 
 
-def _geometry_cfg(tmp_path):
-    path = tmp_path / "geom.cfg"
-    path.write_text("core_len = 16\ncontext_len = 4\n")
-    return path
+@pytest.mark.parametrize("flag", ["--preset", "--config"])
+def test_eval_takes_no_window_geometry(tmp_path, capsys, flag):
+    """The oracle's stitched output is the labels under any tiling, and a
+    checkpoint carries its own config, so eval has no config flags."""
+    _, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    geometry = tmp_path / "geometry.cfg"
+    geometry.write_text("core_len = 16\ncontext_len = 4\n")
+    value = {"--preset": "desk", "--config": str(geometry)}[flag]
+    assert dispatch(["eval", "--data", str(val_dir), "--ckpt", "oracle", flag, value]) == 1
+    assert "error[usage]" in capsys.readouterr().err
 
 
 def test_gradcheck_cli_passes(capsys):
@@ -798,8 +817,7 @@ def test_eval_refuses_a_corpus_without_labels(tmp_path, capsys):
     corpus, session_dir, _ = _toy_corpus(tmp_path)
     _unlabeled(session_dir)
     _unlabeled(corpus / "session_000")
-    assert dispatch(["eval", "--data", str(corpus), "--ckpt", "oracle",
-                     "--preset", "desk"]) == 2
+    assert dispatch(["eval", "--data", str(corpus), "--ckpt", "oracle"]) == 2
     out, err = capsys.readouterr()
     assert f"error[data]: --data {corpus}: no session carries target labels" in err
     assert "mean ccc" not in out
@@ -860,6 +878,15 @@ def test_ablate_rejects_unknown_arm(tmp_path, capsys):
     assert dispatch(["ablate", "--data", "x", "--val", "y", "--out", "z",
                      "--arms", "baseline,warp"]) == 1
     assert "unknown ablation arms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arms", ["", "full,baseline,full"], ids=["empty", "repeated"])
+def test_ablate_rejects_an_empty_or_repeated_arm_list(tmp_path, capsys, monkeypatch, arms):
+    monkeypatch.setattr(cli, "run_ablate", lambda *a, **k: pytest.fail("ablate trained"))
+    train_dir, val_dir = synth_dirs(tmp_path, frames=40, sessions=1)
+    assert dispatch(["ablate", "--data", str(train_dir), "--val", str(val_dir),
+                     "--out", str(tmp_path / "ablate"), "--arms", arms]) == 1
+    assert "error[usage]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, seeds", [([], [5, 6]), (["--seed", "2"], [2, 3])],

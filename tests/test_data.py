@@ -174,6 +174,58 @@ def test_save_session_removes_labels_the_record_no_longer_has(tmp_path):
     assert all(data.labels is None for data in loaded.roles.values())
 
 
+def _zero_columns(record):
+    record.roles["partner"].streams["clip"] = np.zeros((record.num_frames, 0))
+    record.roles["target"].streams["clip"] = np.zeros((record.num_frames, 0))
+
+
+# Records whose manifest load_session refuses, each with the field it breaks
+# (JSON has no infinity: json.dump writes a non-standard `Infinity`).
+UNLOADABLE = {
+    "session_id_int": (lambda r: setattr(r, "session_id", 7), "session_id"),
+    "frame_rate_zero": (lambda r: setattr(r, "frame_rate_hz", 0.0), "frame_rate_hz"),
+    "frame_rate_nan": (lambda r: setattr(r, "frame_rate_hz", float("nan")), "frame_rate_hz"),
+    "frame_rate_inf": (lambda r: setattr(r, "frame_rate_hz", float("inf")), "frame_rate_hz"),
+    "frame_rate_bool": (lambda r: setattr(r, "frame_rate_hz", True), "frame_rate_hz"),
+    "num_frames_float": (lambda r: setattr(r, "num_frames", float(r.num_frames)), "num_frames"),
+    "num_frames_numpy": (lambda r: setattr(r, "num_frames", np.int64(r.num_frames)),
+                         "num_frames"),
+    "stream_without_columns": (_zero_columns, "no column"),
+}
+
+
+@pytest.mark.parametrize("form", UNLOADABLE)
+def test_save_session_refuses_what_load_session_refuses(tmp_path, form):
+    edit, named = UNLOADABLE[form]
+    record = synth_session(toy_synth(num_frames=12), 0)
+    edit(record)
+    with pytest.raises(DataFormatError, match=named):
+        save_session(tmp_path / "s0", record)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _tree(directory):
+    return {str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+            for p in sorted(directory.rglob("*"))}
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_a_failed_save_leaves_the_directory_as_it_was(tmp_path, existing):
+    """A non-finite stream value is found only as its file is written, after
+    the target's streams; the save then leaves an existing session byte for
+    byte as it was and creates no new one."""
+    if existing:
+        save_session(tmp_path / "s0", synth_session(toy_synth(num_frames=12), 0))
+    before = _tree(tmp_path)
+    record = synth_session(toy_synth(num_frames=12), 1)
+    record.roles["partner"].streams["openpose"][3, 1] = np.nan
+    with pytest.raises(DataFormatError, match="non-finite"):
+        save_session(tmp_path / "s0", record)
+    assert _tree(tmp_path) == before
+    if existing:
+        assert load_session(tmp_path / "s0").session_id == "synth-0007-000"
+
+
 def test_load_sessions_directory(tmp_path):
     synth_corpus(toy_synth(sessions=3), tmp_path)
     sessions = load_sessions(tmp_path)
